@@ -17,7 +17,11 @@ Workloads:
   pushed to N = 10⁴, once per epoch backend.  The pair exists so CI can
   gate the spectral engine's N-free refill as a *relative* property
   (``check_bench_regression.py --min-speedup``, ≥10x): absolute wall
-  times drift across machines, the ratio does not.
+  times drift across machines, the ratio does not;
+* ``fig06_distributed_k5`` — Figure 6's distributed cluster, disks
+  C² = 10, K=5, N=100 (D(5) = 2668, over the dense propagator cap).  Its
+  top level steps through a natural-order LU; CI gates the factorize
+  and epoch stages so that path cannot quietly slow down.
 """
 
 from __future__ import annotations
@@ -26,36 +30,43 @@ import json
 
 import pytest
 
-from repro.clusters import ApplicationModel, central_cluster
+from repro.clusters import ApplicationModel, central_cluster, distributed_cluster
 from repro.distributions import Shape
 from repro.obs.profile import profile_spec, validate_bench, write_bench
 
 REPEATS = 5
 
 
-def _spec():
+def _spec(kind: str = "central", K: int = 5):
+    if kind == "distributed":
+        return distributed_cluster(ApplicationModel(), K,
+                                   shapes={"disk": Shape.scv(10.0)})
     return central_cluster(ApplicationModel(), {"rdisk": Shape.scv(10.0)})
 
 
 @pytest.mark.parametrize(
-    "name, K, N, propagation",
+    "name, kind, K, N, propagation, top_dim",
     [
-        ("fig03_central_k5", 5, 30, "propagator"),
-        ("fig04_central_k8", 8, 60, "propagator"),
-        ("fig03_n10k_propagator", 5, 10_000, "propagator"),
-        ("fig03_n10k_spectral", 5, 10_000, "spectral"),
+        ("fig03_central_k5", "central", 5, 30, "propagator", 91),
+        ("fig04_central_k8", "central", 8, 60, "propagator", 285),
+        ("fig03_n10k_propagator", "central", 5, 10_000, "propagator", 91),
+        ("fig03_n10k_spectral", "central", 5, 10_000, "spectral", 91),
+        ("fig06_distributed_k5", "distributed", 5, 100, "propagator", 2668),
     ],
-    ids=["fig03_k5", "fig04_k8", "n10k_propagator", "n10k_spectral"],
+    ids=["fig03_k5", "fig04_k8", "n10k_propagator", "n10k_spectral",
+         "fig06_k5"],
 )
-def test_bench_transient(results_dir, record_text, name, K, N, propagation):
+def test_bench_transient(results_dir, record_text, name, kind, K, N,
+                         propagation, top_dim):
     result = profile_spec(
-        _spec(), K, N, repeats=REPEATS, name=name, propagation=propagation
+        _spec(kind, K), K, N, repeats=REPEATS, name=name,
+        propagation=propagation,
     )
 
     # Sanity: the spans must account for (nearly) all of the wall time,
     # and the solve must reproduce the known makespan regime.
     assert result.coverage > 0.90, f"span coverage {result.coverage:.1%}"
-    assert result.level_dims[-1] == (91 if K == 5 else 285)
+    assert result.level_dims[-1] == top_dim
     assert result.makespan > 0.0
 
     path = write_bench(
@@ -75,7 +86,8 @@ def test_bench_file_is_wellformed(results_dir):
         pytest.skip("emitters did not run in this session")
     doc = validate_bench(path)
     names = {w["name"] for w in doc["workloads"]}
-    assert {"fig03_central_k5", "fig04_central_k8"} <= names
+    assert {"fig03_central_k5", "fig04_central_k8",
+            "fig06_distributed_k5"} <= names
     by_name = {w["name"]: w for w in doc["workloads"]}
     if {"fig03_n10k_propagator", "fig03_n10k_spectral"} <= names:
         slow = by_name["fig03_n10k_propagator"]["wall_seconds"]["median"]

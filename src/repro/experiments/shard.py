@@ -540,7 +540,11 @@ class ShardExecutor:
             return False
         lease.deadline = time.time() + self.lease_ttl
         path = self.ns.lease_path(lease.figure, lease.fp)
-        tmp = path.with_name(path.name + f".renew.{self.worker_id}")
+        # The heartbeat thread and the map thread both renew: each writes
+        # its own temp file, so one's replace never moves the other's.
+        tmp = path.with_name(
+            path.name + f".renew.{self.worker_id}.{threading.get_ident()}"
+        )
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(lease.to_json() + "\n")
             fh.flush()

@@ -23,12 +23,15 @@ Derived objects (paper §4):
 sparse LU factorization of ``(I − P_k)`` and exposes ``x ↦ x·Y_k`` as two
 cheap operations (a transposed triangular solve and a sparse product),
 which is what makes the distributed-cluster state spaces tractable.
+
+Epoch stepping follows one rule, fixed when a level is constructed: a
+level with ``dim ≤`` :meth:`LevelOperators.dense_threshold` caches dense
+``Y_k``/``Y_k R_k`` propagators and steps by gemv; a level above it builds
+none and steps through ``apply_Y``/``apply_YR`` on a natural-order LU.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,16 +55,10 @@ __all__ = [
 ]
 
 #: memory cap for one dense cached propagator (bytes of float64 entries);
-#: dims above the derived threshold fall back to CSR storage.
+#: levels above the derived threshold build none and step through their LU.
 PROPAGATOR_DENSE_BYTES = 32 << 20
 #: column-block width of the multi-RHS solve that builds a propagator
 PROPAGATOR_BLOCK_COLS = 128
-#: thread cap of the column-parallel propagator build.  Only levels whose
-#: dim exceeds the dense cap (CSR-destined propagators, where the
-#: multi-RHS solve dominates) split their column blocks across threads;
-#: each block writes a disjoint output slice through an independent
-#: ``lu.solve`` call, so the result is bit-identical to the serial build.
-PROPAGATOR_SOLVE_THREADS = min(4, os.cpu_count() or 1)
 #: probe epochs of the spectral self-check: reconstructed powers are
 #: compared against iterated gemvs at these exponents before the
 #: decomposition is trusted (one near the transient, one deep enough to
@@ -176,12 +173,19 @@ class LevelOperators:
     #: entrance operator from the level below (CSR, dim_{k−1} × dim)
     R: sp.csr_matrix
 
+    #: column ordering of the sparse LU (SuperLU's fill-reducing default)
+    PERMC_SPEC = "COLAMD"
+
     def __post_init__(self):
         self._lu: spla.SuperLU | None = None
         self._tau: np.ndarray | None = None
-        self._prop_Y: "np.ndarray | sp.csr_matrix | None" = None
-        self._prop_YR: "np.ndarray | sp.csr_matrix | None" = None
+        self._prop_Y: np.ndarray | None = None
+        self._prop_YR: np.ndarray | None = None
         self._spectral_YR: SpectralDecomposition | None = None
+        # The stepping rule is decided here, once per level: the dense
+        # per-epoch path below the cap keeps its plain gemv methods.
+        if self.dim > self.dense_threshold():
+            self.__class__ = _LUSteppedLevel
 
     # ------------------------------------------------------------------
     @property
@@ -217,7 +221,7 @@ class LevelOperators:
     def _factorize(self) -> spla.SuperLU:
         A = sp.identity(self.dim, format="csc") - self.P.tocsc()
         try:
-            return spla.splu(A)
+            return spla.splu(A, permc_spec=self.PERMC_SPEC)
         except RuntimeError as exc:
             if "singular" not in str(exc).lower():
                 raise
@@ -276,13 +280,13 @@ class LevelOperators:
 
     # -- cached propagators (paper §4.2, Case 2) -----------------------
     def dense_threshold(self) -> int:
-        """Largest ``dim`` whose cached propagator is stored dense.
+        """Largest ``dim`` that caches dense propagators.
 
         The base cap keeps one dense ``dim × dim`` propagator under
         :data:`PROPAGATOR_DENSE_BYTES`.  Levels whose ``P_k`` is already
-        dense-ish double the cap: the fill of ``(I − P_k)^{-1}`` then
-        leaves CSR with no size advantage while its matvec is slower
-        than the BLAS gemv.
+        dense-ish double the cap: their LU fills in heavily, so a
+        per-epoch solve would cost more than the BLAS gemv.  Levels
+        above the threshold step through their LU instead.
         """
         cap = int(np.sqrt(PROPAGATOR_DENSE_BYTES / 8.0))
         density = self.P.nnz / max(self.dim * self.dim, 1)
@@ -293,49 +297,28 @@ class LevelOperators:
 
         Blocking bounds the dense right-hand-side scratch to
         ``dim × PROPAGATOR_BLOCK_COLS`` regardless of how wide ``B`` is.
-        Levels above the dense cap split the blocks across up to
-        :data:`PROPAGATOR_SOLVE_THREADS` threads: each block is an
-        independent read-only solve against the shared factors writing a
-        disjoint slice of ``out``, so scheduling cannot change a bit.
         """
         lu = self.lu
         ncols = B.shape[1]
         out = np.empty((self.dim, ncols))
         Bc = B.tocsc()
-        starts = range(0, ncols, PROPAGATOR_BLOCK_COLS)
-
-        def solve_block(j0: int) -> None:
+        for j0 in range(0, ncols, PROPAGATOR_BLOCK_COLS):
             j1 = min(j0 + PROPAGATOR_BLOCK_COLS, ncols)
             out[:, j0:j1] = lu.solve(Bc[:, j0:j1].toarray())
-
-        workers = self._solve_column_threads(len(starts))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for _ in pool.map(solve_block, starts):
-                    pass
-        else:
-            for j0 in starts:
-                solve_block(j0)
         return out
 
-    def _solve_column_threads(self, nblocks: int) -> int:
-        """Thread count of the propagator build: 1 below the dense cap."""
-        if nblocks < 2 or self.dim <= self.dense_threshold():
-            return 1
-        return max(1, min(nblocks, PROPAGATOR_SOLVE_THREADS))
+    def propagator_Y(self) -> np.ndarray:
+        """Cached dense ``Y_k = (I − P_k)^{-1} Q_k``.
 
-    def propagator_Y(self) -> "np.ndarray | sp.csr_matrix":
-        """Cached ``Y_k = (I − P_k)^{-1} Q_k`` as an explicit matrix.
-
-        Built once per level by a blocked multi-column solve over ``Q_k``;
-        stored dense when ``dim ≤`` :meth:`dense_threshold`, CSR above it.
+        Built once per level by a blocked multi-column solve over ``Q_k``.
         Amortizes the drain cascade: every later ``x Y_k`` is one gemv.
+        Levels above :meth:`dense_threshold` never call it.
         """
         if self._prop_Y is None:
             self._prop_Y = self._build_propagator("Y")
         return self._prop_Y
 
-    def propagator_YR(self) -> "np.ndarray | sp.csr_matrix":
+    def propagator_YR(self) -> np.ndarray:
         """Cached refill operator ``Y_k R_k`` (one matrix per level).
 
         This is the fixed operator every refill epoch applies (paper
@@ -346,32 +329,29 @@ class LevelOperators:
             self._prop_YR = self._build_propagator("YR")
         return self._prop_YR
 
-    def _build_propagator(self, kind: str) -> "np.ndarray | sp.csr_matrix":
+    def _build_propagator(self, kind: str) -> np.ndarray:
         ins = _rt.ACTIVE
         if ins is None:
             return self._propagator(kind)
         with ins.span(
-            "propagator", level=self.k, kind=kind, dim=self.dim
-        ) as span:
+            "propagator", level=self.k, kind=kind, dim=self.dim,
+            storage="dense",
+        ):
             mat = self._propagator(kind)
-        storage = "dense" if isinstance(mat, np.ndarray) else "csr"
-        if span is not None:
-            span.attrs["storage"] = storage
-        ins.count("repro_propagators_built_total", kind=kind, storage=storage)
+        ins.count("repro_propagators_built_total", kind=kind, storage="dense")
         return mat
 
-    def _propagator(self, kind: str) -> "np.ndarray | sp.csr_matrix":
+    def _propagator(self, kind: str) -> np.ndarray:
         if kind == "Y":
-            Y = self._solve_columns(self.Q)
-            if self.dim <= self.dense_threshold():
-                return Y
-            return sp.csr_matrix(Y)
-        YR = self.propagator_Y() @ self.R
-        # dense @ csr yields ndarray; csr @ csr stays sparse — keep each.
-        return YR if isinstance(YR, np.ndarray) else sp.csr_matrix(YR)
+            return self._solve_columns(self.Q)
+        return self.propagator_Y() @ self.R  # dense @ csr yields ndarray
 
     def step_Y(self, x: np.ndarray) -> np.ndarray:
-        """``x ↦ x Y_k`` through the cached propagator (one gemv)."""
+        """``x ↦ x Y_k`` through the cached propagator (one gemv).
+
+        Levels above :meth:`dense_threshold` replace this (and
+        :meth:`step_YR`) by the :meth:`apply_Y` solve.
+        """
         return np.asarray(x, dtype=float) @ self.propagator_Y()
 
     def step_YR(self, x: np.ndarray) -> np.ndarray:
@@ -411,14 +391,6 @@ class LevelOperators:
 
     def _eig_decompose(self) -> SpectralDecomposition:
         T = self.propagator_YR()
-        if not isinstance(T, np.ndarray):
-            raise SpectralFallbackError(
-                f"level {self.k}: cached Y·R propagator is CSR "
-                f"(dim {self.dim} over the dense threshold "
-                f"{self.dense_threshold()}); eigendecomposition would "
-                "densify it",
-                cause="dim-cap", level=self.k, dim=self.dim,
-            )
         try:
             w, V = np.linalg.eig(T)
             Vinv = np.linalg.inv(V)
@@ -490,7 +462,7 @@ class LevelOperators:
         Counts the assembled ``P/Q/R`` and rate vector, then whatever the
         lazy surfaces have materialized so far — ``τ'``, the LU factors
         (``SuperLU.nnz`` entries at 12 bytes each: float64 value plus an
-        int32 index), the dense/CSR propagators and the spectral
+        int32 index), the dense propagators and the spectral
         eigentriple.  This is the number the model cache's byte-budget
         eviction sums, so it grows as a model warms up.
         """
@@ -510,11 +482,6 @@ class LevelOperators:
 
     def cache_info(self) -> dict:
         """What this level holds warm (one row of a cache status doc)."""
-        def storage(obj) -> str | None:
-            if obj is None:
-                return None
-            return "dense" if isinstance(obj, np.ndarray) else "csr"
-
         return {
             "level": self.k,
             "dim": self.dim,
@@ -522,8 +489,8 @@ class LevelOperators:
             "bytes": self.cached_bytes(),
             "lu": self._lu is not None,
             "tau": self._tau is not None,
-            "propagator_Y": storage(self._prop_Y),
-            "propagator_YR": storage(self._prop_YR),
+            "propagator_Y": None if self._prop_Y is None else "dense",
+            "propagator_YR": None if self._prop_YR is None else "dense",
             "spectral": self._spectral_YR is not None,
         }
 
@@ -537,6 +504,26 @@ class LevelOperators:
         memory in ``dim``)."""
         inv = self.lu.solve(np.eye(self.dim))
         return inv @ np.diag(1.0 / self.rates)
+
+
+class _LUSteppedLevel(LevelOperators):
+    """A level above the dense cap: steps by solves, never a propagator.
+
+    Natural order fills these reduced-product levels far less than
+    COLAMD (``benchmarks/test_ablation_ordering.py``).
+    """
+
+    PERMC_SPEC = "NATURAL"
+    step_Y = LevelOperators.apply_Y
+    step_YR = LevelOperators.apply_YR
+
+    def _eig_decompose(self) -> SpectralDecomposition:
+        raise SpectralFallbackError(
+            f"level {self.k}: dim {self.dim} is over the dense propagator "
+            f"threshold {self.dense_threshold()}; the level steps through "
+            "its LU and has no Y·R matrix to decompose",
+            cause="dim-cap", level=self.k, dim=self.dim,
+        )
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:

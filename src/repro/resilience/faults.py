@@ -216,12 +216,6 @@ class FaultyLevel:
         return self.apply_Y(x) @ self.R
 
     # -- cached-propagator surface --------------------------------------
-    def propagator_Y(self):
-        return self._ops.propagator_Y()
-
-    def propagator_YR(self):
-        return self._ops.propagator_YR()
-
     def step_Y(self, x: np.ndarray) -> np.ndarray:
         self.lu  # near-singular fault also blocks the propagator path
         return self._poison(self._ops.step_Y(x))

@@ -333,12 +333,6 @@ class GuardedLevel:
         return check_stochastic(y, self._cfg, where="apply_YR", level=self.k)
 
     # -- guarded cached-propagator surface --------------------------------
-    def propagator_Y(self):
-        return self._ops.propagator_Y()
-
-    def propagator_YR(self):
-        return self._ops.propagator_YR()
-
     def spectral_YR(self):
         """Forward the spectral surface when the wrapped backend has one.
 

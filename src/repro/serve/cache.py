@@ -9,8 +9,9 @@ two machines therefore compute the same key for the same question, and a
 changed parameter or package upgrade *misses* instead of silently reusing
 a stale model.
 
-The cache holds the models themselves — factorized levels, cached
-``Y_k``/``Y_K R_K`` propagators, spectral decompositions, entrance
+The cache holds the models themselves — factorized levels, cached dense
+``Y_k``/``Y_K R_K`` propagators of the levels under the dense cap (the
+levels above it keep only their LU), spectral decompositions, entrance
 vectors — so a warm hit skips straight to the epoch recurrence.  Eviction
 is by resident **bytes**, not entry count: every entry is re-measured
 through the solver's own cache-extraction surface
@@ -20,11 +21,12 @@ recently used entries go first; the entry just used is never evicted, so
 one oversized model still works (it just pins the budget until the next
 insert).
 
-Thread safety: lookups and LRU bookkeeping run under one lock, and a
-per-fingerprint build latch guarantees racing callers share a **single**
-build — the losers block on the latch and receive the winner's model
-object (pinned in ``tests/serve/test_cache.py``).  Hit/miss/eviction
-counts flow to ``repro_cache_{hits,misses,evictions}_total`` and the
+Thread safety: lookups, LRU bookkeeping and the byte/entry gauge reads
+run under one lock, and a per-fingerprint build latch guarantees racing
+callers share a **single** build — the losers block on the latch and
+receive the winner's model object (pinned in
+``tests/serve/test_cache.py``).  Hit/miss/eviction counts flow to
+``repro_cache_{hits,misses,evictions}_total`` and the
 ``cache_hit``/``cache_build`` spans through the ambient instrumentation
 (metrics are thread-safe; a tracer should only be armed for
 single-threaded use, which is why ``repro serve`` runs metrics-only).
@@ -261,8 +263,12 @@ class ModelCache:
         return sum(e.bytes for e in self._entries.values())
 
     def _export_gauges(self, ins) -> None:
-        ins.gauge("repro_cache_bytes", float(self._total_bytes()))
-        ins.gauge("repro_cache_entries", float(len(self._entries)))
+        # Read under the lock: another thread may be inserting or evicting.
+        with self._lock:
+            total = self._total_bytes()
+            count = len(self._entries)
+        ins.gauge("repro_cache_bytes", float(total))
+        ins.gauge("repro_cache_entries", float(count))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -168,13 +168,19 @@ class TestSpectralFallback:
         assert model.spectral_fallback.residuals  # probe residuals recorded
 
     def test_dim_cap(self, monkeypatch):
-        """A CSR propagator (over the dense cap) declines eigendecomposition."""
+        """A level over the dense cap declines before building anything."""
         import repro.laqt.operators as ops_mod
 
         reference = TransientModel(_spec("h2-10"), 4).interdeparture_times(12)
         monkeypatch.setattr(ops_mod, "PROPAGATOR_DENSE_BYTES", 8)
         model = TransientModel(_spec("h2-10"), 4, propagation="spectral")
-        self._assert_downgraded(model, "dim-cap", reference)
+        ins = Instrumentation.enabled(measure_rss=False)
+        with ins.activate():
+            model.instrument = ins
+            self._assert_downgraded(model, "dim-cap", reference)
+        names = {sp.name for sp in ins.tracer.spans}
+        assert "eig_decompose" in names
+        assert "propagator" not in names
 
     def test_unsupported_backend(self):
         """A level surface without ``spectral_YR`` yields the backend code."""

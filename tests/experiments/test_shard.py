@@ -141,6 +141,45 @@ class TestLeases:
         assert lease.lost
         w1.close(), w2.close()
 
+    def test_concurrent_renewals_never_lose_their_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """The heartbeat renews while the map thread renews the same lease.
+
+        Forced interleaving: the map thread's renewal has written its temp
+        file and is about to ``os.replace`` it when a heartbeat renewal
+        runs to completion.  Sharing one temp path, the first replace
+        would find its file already moved (``FileNotFoundError``).
+        """
+        import threading
+
+        import repro.experiments.shard as shard_mod
+
+        w1 = _worker(tmp_path, "w1")
+        lease = w1.try_claim("figX", "f" * 64, 0)
+        real_replace = os.replace
+        beats: list[bool] = []
+        fired = threading.Event()
+
+        def replace_after_heartbeat(src, dst):
+            if not fired.is_set():
+                fired.set()
+                hb = threading.Thread(
+                    target=lambda: beats.append(w1.renew(lease, observe=False))
+                )
+                hb.start()
+                hb.join(30.0)
+                assert not hb.is_alive()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(shard_mod.os, "replace", replace_after_heartbeat)
+        assert w1.renew(lease)
+        assert beats == [True]
+        assert not lease.lost
+        assert not list(w1.ns.lease_path("figX", "f" * 64).parent.glob(
+            "*.renew.*")), "no temp file may be left behind"
+        w1.close()
+
     def test_release_never_unlinks_a_thiefs_lease(self, tmp_path):
         w1 = _worker(tmp_path, "w1", lease_ttl=0.05)
         w2 = _worker(tmp_path, "w2", lease_ttl=5.0)

@@ -131,53 +131,90 @@ class TestKnownAnswers:
             central_model.level(6)
 
 
-class TestParallelPropagatorBuild:
-    """Column-parallel `_solve_columns` above the dense cap.
+class TestAboveCapLUStepping:
+    """Levels above the dense propagator cap step through a natural-order LU.
 
-    Each block is an independent LU solve writing a disjoint slice of
-    the output, so the threaded build must be **bit-identical** to the
-    serial one, and the propagator path must still agree with the
-    historical per-column solve recurrence to 1e-12.
+    The rule is fixed per level at construction: ``dim ≤ dense_threshold()``
+    keeps the cached dense propagators and COLAMD; anything larger builds
+    no propagator and runs ``step_Y``/``step_YR`` as the exact solves.
     """
 
     @pytest.fixture
     def tiny_caps(self, monkeypatch):
-        """Force the CSR (above-dense-cap) path with multi-block splits,
-        threaded even on a single-core runner."""
+        """Shrink the dense cap so every level with dim > 2 is over it."""
         import repro.laqt.operators as ops_mod
 
         monkeypatch.setattr(ops_mod, "PROPAGATOR_DENSE_BYTES", 8)
-        monkeypatch.setattr(ops_mod, "PROPAGATOR_BLOCK_COLS", 4)
-        monkeypatch.setattr(ops_mod, "PROPAGATOR_SOLVE_THREADS", 3)
         return ops_mod
 
-    def test_threads_engage_above_dense_cap(self, central_h2_spec, tiny_caps):
+    def test_builds_no_propagator(self, central_h2_spec, tiny_caps):
+        model = TransientModel(central_h2_spec, 5)
+        model.interdeparture_times(30)
+        above = [row for row in model.cache_info()["levels"]
+                 if row["dim"] > model.level(row["level"]).dense_threshold()]
+        assert [row["level"] for row in above] == [1, 2, 3, 4, 5]
+        for row in above:
+            assert row["lu"]
+            assert row["propagator_Y"] is None
+            assert row["propagator_YR"] is None
+
+    def test_lu_is_natural_order(self, central_h2_spec, tiny_caps):
         ops = TransientModel(central_h2_spec, 5).level(5)
-        nblocks = -(-ops.Q.shape[1] // tiny_caps.PROPAGATOR_BLOCK_COLS)
-        assert ops.dim > ops.dense_threshold()
-        assert ops._solve_column_threads(nblocks) > 1
+        assert ops.PERMC_SPEC == "NATURAL"
+        assert np.array_equal(ops.lu.perm_c, np.arange(ops.dim))
 
-    def test_serial_equals_parallel_bits(self, central_h2_spec, tiny_caps,
-                                         monkeypatch):
-        parallel_model = TransientModel(central_h2_spec, 5)
-        par = parallel_model.level(5).propagator_Y()
-
-        monkeypatch.setattr(tiny_caps, "PROPAGATOR_SOLVE_THREADS", 1)
-        serial_model = TransientModel(central_h2_spec, 5)
-        ser = serial_model.level(5).propagator_Y()
-
-        assert not isinstance(par, np.ndarray)  # CSR path exercised
-        assert np.array_equal(par.toarray(), ser.toarray())
-
-    def test_propagator_matches_solve_path(self, central_h2_spec, tiny_caps):
-        prop = TransientModel(central_h2_spec, 5, propagation="propagator")
+    def test_matches_solve_path(self, central_h2_spec, tiny_caps):
+        fast = TransientModel(central_h2_spec, 5)
         hist = TransientModel(central_h2_spec, 5, propagation="solve")
         np.testing.assert_allclose(
-            prop.interdeparture_times(30), hist.interdeparture_times(30),
+            fast.interdeparture_times(30), hist.interdeparture_times(30),
             rtol=0.0, atol=1e-12,
         )
 
-    def test_below_cap_stays_serial(self, central_spec):
-        ops = TransientModel(central_spec, 3).level(3)
+    def test_guarded_level_steps_through_lu(self, central_h2_spec, tiny_caps):
+        from repro.resilience.guards import GuardConfig
+
+        plain = TransientModel(central_h2_spec, 5).interdeparture_times(30)
+        guarded = TransientModel(central_h2_spec, 5, guards=GuardConfig())
+        np.testing.assert_allclose(guarded.interdeparture_times(30), plain,
+                                   rtol=0.0, atol=1e-12)
+        assert guarded.cache_info()["levels"][-1]["propagator_YR"] is None
+
+    def test_fault_drill_recovers_through_lu(self, central_h2_spec, tiny_caps):
+        from repro.resilience.fallback import ResilienceConfig, solve_resilient
+        from repro.resilience.faults import FaultPlan
+
+        plain = TransientModel(central_h2_spec, 5).interdeparture_times(30)
+        cfg = ResilienceConfig(faults=FaultPlan(nan_level=5, nan_mode="once"))
+        res = solve_resilient(central_h2_spec, 5, 30, cfg)
+        assert res.report.method == "refine"
+        np.testing.assert_allclose(res.interdeparture_times, plain,
+                                   rtol=0.0, atol=1e-12)
+
+    def test_below_cap_keeps_dense_propagator(self, central_spec):
+        model = TransientModel(central_spec, 3)
+        model.interdeparture_times(10)
+        ops = model.level(3)
         assert ops.dim <= ops.dense_threshold()
-        assert ops._solve_column_threads(100) == 1
+        assert ops.PERMC_SPEC == "COLAMD"
+        assert model.cache_info()["levels"][-1]["propagator_YR"] == "dense"
+
+
+def test_fig06_distributed_k5_matches_solve_path():
+    """A real above-cap level: fig06's distributed K=5 point, C²=10.
+
+    Its top level (D(5)=2668) is over the default dense cap, so the
+    default model steps it through the natural-order LU.
+    """
+    from repro.clusters import distributed_cluster
+
+    spec = distributed_cluster(ApplicationModel(), 5,
+                               shapes={"disk": Shape.hyperexp(10.0)})
+    fast = TransientModel(spec, 5)
+    hist = TransientModel(spec, 5, propagation="solve")
+    top = fast.level(5)
+    assert top.dim == 2668 and top.dim > top.dense_threshold()
+    for N in (30, 100):
+        assert fast.makespan(N) == pytest.approx(hist.makespan(N),
+                                                 rel=1e-12, abs=0.0)
+    assert fast.cache_info()["levels"][-1]["propagator_YR"] is None

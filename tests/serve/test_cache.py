@@ -286,5 +286,56 @@ class TestMetrics:
         assert "cache_build" in names
         assert "cache_hit" in names
 
+    def test_gauges_race_build_and_settle_across_threads(self, monkeypatch):
+        """Two threads build and settle under metrics at a tiny budget.
+
+        Reading an entry's size here releases the GIL, so a gauge export
+        that summed the entries outside the lock would see the other
+        thread evict mid-iteration ("OrderedDict mutated during
+        iteration", an HTTP 500 under ``repro serve --threads 2``).
+        """
+        import time
+
+        import repro.serve.cache as cache_mod
+        from repro.obs import Instrumentation, default_registry
+
+        class _SlowSizeEntry(cache_mod._Entry):
+            @property
+            def bytes(self):
+                time.sleep(1e-4)
+                return self._bytes
+
+            @bytes.setter
+            def bytes(self, value):
+                self._bytes = value
+
+        monkeypatch.setattr(cache_mod, "_Entry", _SlowSizeEntry)
+        cache = ModelCache(max_bytes=1)
+        spec = _h2_spec()
+        errors: list[BaseException] = []
+
+        def worker(tag: str) -> None:
+            try:
+                for i in range(40):
+                    fp = f"{tag}-{i}"
+                    cache.get_or_build(spec, 1, fingerprint=fp)
+                    cache.settle(fp)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        ins = Instrumentation(metrics=default_registry())
+        with ins.activate():
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in ("a", "b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.stats()["misses"] == 80
+        doc = ins.metrics.to_dict()
+        assert doc["repro_cache_entries"]["series"][0]["value"] >= 1.0
+
     def test_default_budget_is_sane(self):
         assert DEFAULT_CACHE_BYTES >= 64 << 20
