@@ -37,6 +37,7 @@ from repro.experiments._cli import (
 )
 from repro.obs import Instrumentation
 from repro.resilience.errors import ShardError, SweepError
+from repro.resilience.faults import SweepFaultPlan
 
 
 def _flush_artifacts(ins: Instrumentation, trace, metrics_out) -> None:
@@ -65,6 +66,7 @@ def _spawn_workers(args: argparse.Namespace) -> list[subprocess.Popen]:
         base += ["--retries", str(args.retries)]
     if args.lease_ttl is not None:
         base += ["--lease-ttl", str(args.lease_ttl)]
+    drill = SweepFaultPlan.parse(args.drill) if args.drill else None
     children: list[subprocess.Popen] = []
     for n in range(1, args.workers):
         argv = list(base) + ["--worker-id", f"shard-w{n}"]
@@ -74,7 +76,7 @@ def _spawn_workers(args: argparse.Namespace) -> list[subprocess.Popen]:
             argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         children.append(child)
-        if args.drill and n == 1 and args.drill.startswith("die-after-claim"):
+        if n == 1 and drill is not None and drill.die_after_claims is not None:
             try:
                 child.wait(timeout=600)
             except subprocess.TimeoutExpired:  # pragma: no cover - safety net

@@ -9,12 +9,12 @@ a :class:`~repro.experiments.shard.ShardExecutor` joining a distributed
 namespace; without it, the single-process
 :class:`~repro.experiments.executor.SweepExecutor`.
 
-``--drill KIND@INDEX`` arms a deterministic
-:class:`~repro.resilience.faults.SweepFaultPlan` (point-level kinds) or
-:class:`~repro.resilience.faults.ShardFaultPlan` (shard-level kinds, where
-the number after ``@`` counts *successful lease claims*, not a point
-index) for fault drills (CI runs both on every push); it is a testing
-aid, never needed in service.
+``--drill KIND@N`` arms a deterministic
+:class:`~repro.resilience.faults.SweepFaultPlan`, parsed by
+:meth:`~repro.resilience.faults.SweepFaultPlan.parse`: point kinds take a
+point index, claim kinds (``--shard-dir`` only) count *successful lease
+claims*.  CI drills both on every push; it is a testing aid, never needed
+in service.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from repro.experiments.executor import SweepExecutor, SweepReport
+from repro.resilience.faults import SWEEP_DRILLS, SweepFaultPlan
 
 __all__ = [
     "add_sweep_args",
@@ -35,14 +36,9 @@ __all__ = [
     "write_report_json",
 ]
 
-#: Point-level drill kinds accepted by ``--drill`` (see ``parse_drill``).
-DRILL_KINDS = ("crash", "crash-always", "hang", "hang-always", "fail")
 
-#: Shard-level drill kinds (require ``--shard-dir``); the ``@N`` operand
-#: is the 1-based claim count the fault keys on (ignored by the last two).
-SHARD_DRILL_KINDS = (
-    "die-after-claim", "stale-heartbeat", "duplicate-claim", "torn-segment",
-)
+def _drill_kinds(operand: str) -> str:
+    return ",".join(k for k, (op, _) in SWEEP_DRILLS.items() if op == operand)
 
 
 def positive_int_arg(text: str) -> int:
@@ -77,7 +73,8 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout", type=positive_float_arg, default=None, metavar="SECONDS",
         help="per-point wall-clock deadline; a point past it is killed "
-             "with its worker pool and retried (jobs > 1 only)")
+             "with its worker pool and retried (jobs > 1 only; rejected "
+             "with --shard-dir)")
     parser.add_argument(
         "--retries", type=positive_int_arg, default=None, metavar="A",
         help="total attempts per point, the last one inline in the "
@@ -93,10 +90,10 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--drill", metavar="KIND@INDEX", default=None,
         help="inject a deterministic supervision fault at one point "
-             f"index; KIND in {{{','.join(DRILL_KINDS)}}} "
+             f"index; KIND in {{{_drill_kinds('index')}}} "
              "(testing aid — 'crash' SIGKILLs the first attempt's worker, "
              "'crash-always' every pool attempt, forcing inline salvage); "
-             f"with --shard-dir also {{{','.join(SHARD_DRILL_KINDS)}}}, "
+             f"with --shard-dir also {{{_drill_kinds('claims')}}}, "
              "where the number counts successful lease claims")
     parser.add_argument(
         "--shard-dir", metavar="DIR", default=None,
@@ -137,65 +134,6 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "without sweeping")
 
 
-def parse_drill(spec: str, parser: argparse.ArgumentParser):
-    """``KIND@INDEX`` → :class:`SweepFaultPlan` (parser.error on nonsense)."""
-    from repro.resilience.faults import SweepFaultPlan
-
-    kind, sep, index_text = spec.partition("@")
-    if not sep or kind not in DRILL_KINDS:
-        parser.error(
-            f"--drill must be KIND@INDEX with KIND in "
-            f"{{{','.join(DRILL_KINDS)}}}, got {spec!r}")
-    try:
-        index = int(index_text)
-    except ValueError:
-        parser.error(f"--drill index must be an integer, got {index_text!r}")
-    if index < 0:
-        parser.error(f"--drill index must be >= 0, got {index}")
-    if kind == "crash":
-        return SweepFaultPlan(crash_point=index)
-    if kind == "crash-always":
-        return SweepFaultPlan(crash_point=index, crash_attempts=None)
-    if kind == "hang":
-        return SweepFaultPlan(hang_point=index)
-    if kind == "hang-always":
-        return SweepFaultPlan(hang_point=index, hang_attempts=None)
-    return SweepFaultPlan(fail_point=index)
-
-
-def parse_shard_drill(spec: str, parser: argparse.ArgumentParser):
-    """``KIND@CLAIMS`` → :class:`ShardFaultPlan` for shard-level kinds."""
-    from repro.resilience.faults import ShardFaultPlan
-
-    kind, _sep, count_text = spec.partition("@")
-    count = 1
-    if count_text:
-        try:
-            count = int(count_text)
-        except ValueError:
-            parser.error(
-                f"--drill claim count must be an integer, got {count_text!r}")
-        if count < 1:
-            parser.error(f"--drill claim count must be >= 1, got {count}")
-    if kind == "die-after-claim":
-        return ShardFaultPlan(die_after_claims=count)
-    if kind == "stale-heartbeat":
-        return ShardFaultPlan(stall_heartbeat_after=count)
-    if kind == "duplicate-claim":
-        return ShardFaultPlan(duplicate_claim=True)
-    return ShardFaultPlan(tear_segment=True)
-
-
-def parse_drills(spec: str | None, parser: argparse.ArgumentParser):
-    """``--drill`` value → ``(SweepFaultPlan | None, ShardFaultPlan | None)``."""
-    if not spec:
-        return None, None
-    kind = spec.partition("@")[0]
-    if kind in SHARD_DRILL_KINDS:
-        return None, parse_shard_drill(spec, parser)
-    return parse_drill(spec, parser), None
-
-
 def executor_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ):
@@ -213,28 +151,38 @@ def executor_from_args(
         parser.error("--workers requires --shard-dir")
     if getattr(args, "lease_ttl", None) and not shard_dir:
         parser.error("--lease-ttl requires --shard-dir")
+    if args.timeout is not None and shard_dir:
+        parser.error("--timeout has no effect with --shard-dir: a shard "
+                     "worker cannot preempt its own point (hung workers "
+                     "lose their leases instead)")
     retry = None
     if args.retries is not None:
         from repro.resilience.retry import RetryPolicy
 
         retry = RetryPolicy(max_attempts=args.retries)
-    faults, shard_faults = parse_drills(args.drill, parser)
-    if shard_faults is not None and not shard_dir:
-        parser.error(
-            f"--drill {args.drill} is a shard drill and requires --shard-dir")
+    faults = None
+    if args.drill:
+        try:
+            faults = SweepFaultPlan.parse(args.drill)
+        except ValueError as exc:
+            parser.error(f"--drill: {exc}")
+        if faults.claims_armed and not shard_dir:
+            parser.error(
+                f"--drill {args.drill} is a shard drill and requires "
+                "--shard-dir")
     if shard_dir:
         from repro.experiments.shard import ShardExecutor
 
         kwargs = {}
         if getattr(args, "lease_ttl", None):
             kwargs["lease_ttl"] = args.lease_ttl
+        # The --workers launcher arms the drill on its first child only.
+        launcher = (getattr(args, "workers", None) or 1) > 1
         return ShardExecutor(
             shard_dir,
             worker_id=getattr(args, "worker_id", None),
             retry=retry,
-            faults=faults,
-            shard_faults=shard_faults,
-            timeout=args.timeout,
+            faults=None if launcher else faults,
             propagation=getattr(args, "propagation", None),
             **kwargs,
         )

@@ -38,6 +38,13 @@ configuration, ~zero cost on the happy path):
   rebuilds) that the CLIs surface with ``validate``-style 0/1/2 exit
   codes.
 
+Every point that runs in the calling process — each serial point, the
+pool's inline fallback rung, and every point a
+:class:`~repro.experiments.shard.ShardExecutor` worker claims — goes
+through the one attempt loop :func:`run_attempts`, and every computed
+point's ``ok``/``retried``/``salvaged`` verdict comes from
+:meth:`PointOutcome.settle`, so the three runtimes cannot drift apart.
+
 Observability survives the fan-out *and* failures: each worker records
 its own ``sweep_point`` span tree and metrics registry and ships them
 back with the result — or, when the point function raises, alongside a
@@ -71,6 +78,7 @@ __all__ = [
     "WorkerFailure",
     "latency_summary",
     "pool_worker",
+    "run_attempts",
 ]
 
 #: Schema tag for serialized sweep reports (``SweepReport.to_dict``).
@@ -101,8 +109,8 @@ class WorkerFailure:
 
     @classmethod
     def from_exception(cls, exc: BaseException) -> "WorkerFailure":
-        reason = exc.reason if isinstance(exc, SolverError) else "exception"
-        return cls(kind=type(exc).__name__, reason=reason, message=str(exc))
+        return cls(kind=type(exc).__name__, reason=_failure_reason(exc),
+                   message=str(exc))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind}: {self.message}"
@@ -162,24 +170,18 @@ def pool_worker(
     envelope can survive; the parent sees ``BrokenProcessPool`` instead.
     """
     t0 = time.perf_counter()
-    if not observe:
+    ins = Instrumentation.enabled() if observe else None
+    with nullcontext() if ins is None else ins.activate():
         try:
-            if faults is not None:
-                trigger_point_fault(faults, index, attempt)
-            return fn(*args), None, None, time.perf_counter() - t0
-        except Exception as exc:
-            return (WorkerFailure.from_exception(exc), None, None,
-                    time.perf_counter() - t0)
-    ins = Instrumentation.enabled()
-    with ins.activate():
-        try:
-            with ins.tracer.span("sweep_point", fn=fn.__name__, mode="pool"):
+            with nullcontext() if ins is None else ins.span(
+                    "sweep_point", fn=fn.__name__, mode="pool"):
                 if faults is not None:
                     trigger_point_fault(faults, index, attempt)
                 value = fn(*args)
         except Exception as exc:
-            return (WorkerFailure.from_exception(exc), ins.tracer.spans,
-                    ins.metrics, time.perf_counter() - t0)
+            value = WorkerFailure.from_exception(exc)
+    if ins is None:
+        return value, None, None, time.perf_counter() - t0
     return value, ins.tracer.spans, ins.metrics, time.perf_counter() - t0
 
 
@@ -215,6 +217,40 @@ class PointOutcome:
     #: wall-clock seconds of the accepted attempt (0.0 when not computed
     #: here, e.g. journal-resumed or peer-computed points)
     seconds: float = 0.0
+
+    def settle(self, attempt: int, fallback: bool) -> None:
+        """Mark the point computed on ``attempt``: ``ok`` on the first,
+        ``salvaged`` on the inline fallback (counted in
+        ``repro_points_salvaged_total``), else ``retried``."""
+        if attempt == 1:
+            self.status = "ok"
+        elif fallback:
+            self.status = "salvaged"
+            ins = _rt.ACTIVE
+            if ins is not None:
+                ins.count("repro_points_salvaged_total")
+        else:
+            self.status = "retried"
+
+    def fail(self, attempt: int, reason: str, error: str,
+             retry: RetryPolicy) -> float | None:
+        """Record failed ``attempt``.  Returns the backoff before the next
+        one (recording the ``point_retry`` span and
+        ``repro_point_retries_total``), or ``None`` after the last attempt,
+        which fails the point."""
+        self.failures.append(f"attempt {attempt}: {reason}")
+        if attempt >= retry.max_attempts:
+            self.status = "failed"
+            self.error = error
+            return None
+        delay = retry.delay(attempt, self.index)
+        ins = _rt.ACTIVE
+        if ins is not None:
+            with ins.span("point_retry", index=self.index, attempt=attempt,
+                          reason=reason, delay=round(delay, 6)):
+                pass
+            ins.count("repro_point_retries_total", reason=reason)
+        return delay
 
     def to_dict(self) -> dict:
         """JSON-ready rendering (used by ``--report-json`` artifacts)."""
@@ -334,6 +370,16 @@ class SweepReport:
             )
         return lines
 
+    def beyond_retry(self, where: str) -> SweepError:
+        """The error a runtime raises when points failed beyond retry;
+        ``where`` says where the completed points are kept."""
+        bad = [p.index for p in self.points if p.status == "failed"]
+        return SweepError(
+            f"sweep {self.label!r}: {len(bad)} of {self.total} points failed "
+            f"beyond retry (indices {bad}); completed points {where}",
+            report=self,
+        )
+
     def to_dict(self) -> dict:
         """JSON-ready rendering of the full report (``--report-json``)."""
         return {
@@ -355,7 +401,61 @@ class SweepReport:
 
 
 def _failure_reason(exc: BaseException) -> str:
+    """Retry-metric label: a :class:`SolverError` reason, else
+    ``"exception"``."""
     return exc.reason if isinstance(exc, SolverError) else "exception"
+
+
+def run_attempts(
+    fn: Callable[..., Any],
+    args: tuple,
+    out: PointOutcome,
+    retry: RetryPolicy,
+    faults: SweepFaultPlan | None,
+    *,
+    mode: str,
+    first: int = 1,
+    model_cache=None,
+) -> tuple[bool, Any]:
+    """Run one sweep point inline, attempts ``first..retry.max_attempts``.
+
+    The one attempt loop of every runtime that computes in its own
+    process: the serial path (``first=1``), the pool's inline fallback
+    rung (``first`` = the last attempt) and each shard worker.  The drill
+    plan fires on every attempt but the fallback; each attempt runs under
+    a ``sweep_point`` span labelled ``mode``.  A failed attempt is
+    recorded on ``out`` and backed off; a success sets ``out.seconds``
+    and settles ``out``.  Returns ``(ok, value)``.
+    """
+    ins = _rt.ACTIVE
+    for attempt in range(first, retry.max_attempts + 1):
+        fallback = retry.is_fallback(attempt)
+        out.attempts = attempt
+        t0 = time.perf_counter()
+        try:
+            with (
+                nullcontext() if model_cache is None
+                else model_cache.activate(),
+                nullcontext() if ins is None
+                else ins.span("sweep_point", fn=fn.__name__, mode=mode),
+            ):
+                if faults is not None and not fallback:
+                    trigger_point_fault(faults, out.index, attempt,
+                                        inline=True)
+                value = fn(*args)
+        except Exception as exc:
+            delay = out.fail(attempt, _failure_reason(exc),
+                             f"{type(exc).__name__}: {exc}", retry)
+            if delay:
+                time.sleep(delay)
+            continue
+        out.seconds = time.perf_counter() - t0
+        out.settle(attempt, fallback)
+        if ins is not None:
+            ins.count("repro_sweep_points_total", mode=mode)
+            ins.observe("repro_point_seconds", out.seconds, mode=mode)
+        return True, value
+    return False, None
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -389,7 +489,8 @@ class SweepExecutor:
         recorded (bit-exact) result on a hit.
     faults:
         Deterministic :class:`~repro.resilience.faults.SweepFaultPlan`
-        for supervision drills — never armed in service.
+        for supervision drills — never armed in service.  Only its point
+        faults apply here; claim faults need a shard worker.
     """
 
     def __init__(
@@ -479,13 +580,9 @@ class SweepExecutor:
             report.interrupted = True
             raise
         if not report.complete:
-            bad = [p.index for p in report.points if p.status == "failed"]
-            raise SweepError(
-                f"sweep {label!r}: {len(bad)} of {report.total} points failed "
-                f"beyond retry (indices {bad}); completed points "
-                + ("are checkpointed" if self.journal is not None
-                   else "were not checkpointed (no journal)"),
-                report=report,
+            raise report.beyond_retry(
+                "are checkpointed" if self.journal is not None
+                else "were not checkpointed (no journal)"
             )
         return results
 
@@ -514,117 +611,20 @@ class SweepExecutor:
                 status=out.status, attempts=out.attempts,
             )
 
-    # -- shared attempt bookkeeping ------------------------------------
-    def _note_retry(self, index: int, attempt: int, reason: str,
-                    delay: float) -> None:
-        ins = _rt.ACTIVE
-        if ins is None:
-            return
-        with ins.span("point_retry", index=index, attempt=attempt,
-                      reason=reason, delay=round(delay, 6)):
-            pass
-        ins.count("repro_point_retries_total", reason=reason)
-
-    def _note_salvage(self) -> None:
-        ins = _rt.ACTIVE
-        if ins is not None:
-            ins.count("repro_points_salvaged_total")
-
     # -- serial path ---------------------------------------------------
-    def _run_inline(
-        self,
-        fn: Callable[..., Any],
-        args: tuple,
-        *,
-        faults: SweepFaultPlan | None = None,
-        index: int = 0,
-        attempt: int = 1,
-    ) -> Any:
-        ins = _rt.ACTIVE
-        cache_ctx = (nullcontext() if self.model_cache is None
-                     else self.model_cache.activate())
-        with cache_ctx:
-            if ins is None:
-                if faults is not None:
-                    trigger_point_fault(faults, index, attempt, inline=True)
-                return fn(*args)
-            with ins.span("sweep_point", fn=fn.__name__, mode="inline") as sp:
-                if faults is not None:
-                    trigger_point_fault(faults, index, attempt, inline=True)
-                value = fn(*args)
-        ins.count("repro_sweep_points_total", mode="inline")
-        if sp.wall is not None:
-            ins.observe("repro_point_seconds", sp.wall, mode="inline")
-        return value
-
-    def _run_serial(self, fn, calls, pending, results, report, label):
+    def _run_serial(self, fn, calls, pending, results, report, label, *,
+                    first: int = 1):
+        """Run ``pending`` points inline through :func:`run_attempts`; the
+        pool's fallback rung passes one point and the last attempt."""
         for i in pending:
             out = report.points[i]
-            for attempt in range(1, self.retry.max_attempts + 1):
-                out.attempts = attempt
-                fallback = self.retry.is_fallback(attempt)
-                t0 = time.perf_counter()
-                try:
-                    value = self._run_inline(
-                        fn, calls[i],
-                        faults=None if fallback else self.faults,
-                        index=i, attempt=attempt,
-                    )
-                except Exception as exc:
-                    reason = _failure_reason(exc)
-                    out.failures.append(f"attempt {attempt}: {reason}")
-                    if attempt >= self.retry.max_attempts:
-                        out.status = "failed"
-                        out.error = f"{type(exc).__name__}: {exc}"
-                        break
-                    delay = self.retry.delay(attempt, i)
-                    self._note_retry(i, attempt, reason, delay)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                results[i] = value
-                out.seconds = time.perf_counter() - t0
-                if attempt == 1:
-                    out.status = "ok"
-                elif fallback:
-                    out.status = "salvaged"
-                    self._note_salvage()
-                else:
-                    out.status = "retried"
-                self._checkpoint(label, calls[i], out, value)
-                break
-
-    # -- pool path -----------------------------------------------------
-    def _rebuild_pool(self, pool: ProcessPoolExecutor, workers: int, *,
-                      cause: str, report: SweepReport) -> ProcessPoolExecutor:
-        _kill_pool_processes(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
-        report.pool_rebuilds += 1
-        ins = _rt.ACTIVE
-        if ins is not None:
-            ins.count("repro_pool_rebuilds_total", cause=cause)
-            ins.event("pool_rebuild", cause=cause)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    def _fallback_inline(self, fn, args, i, results, report, label):
-        """Final attempt, inline in the parent: no pool, no faults."""
-        out = report.points[i]
-        out.attempts = self.retry.max_attempts
-        t0 = time.perf_counter()
-        try:
-            value = self._run_inline(fn, args)
-        except Exception as exc:
-            out.status = "failed"
-            out.error = f"{type(exc).__name__}: {exc}"
-            out.failures.append(
-                f"attempt {out.attempts}: {_failure_reason(exc)}"
+            ok, value = run_attempts(
+                fn, calls[i], out, self.retry, self.faults, mode="inline",
+                first=first, model_cache=self.model_cache,
             )
-            return
-        results[i] = value
-        out.seconds = time.perf_counter() - t0
-        out.status = "salvaged"
-        self._note_salvage()
-        self._checkpoint(label, args, out, value)
+            if ok:
+                results[i] = value
+                self._checkpoint(label, calls[i], out, value)
 
     def _run_pool(self, fn, calls, pending, results, report, label):
         ins = _rt.ACTIVE
@@ -662,7 +662,7 @@ class SweepExecutor:
             out = report.points[i]
             results[i] = value
             out.seconds = seconds
-            out.status = "ok" if attempt == 1 else "retried"
+            out.settle(attempt, fallback=False)
             if ins is not None:
                 ins.count("repro_sweep_points_total", mode="pool")
                 ins.observe("repro_point_seconds", seconds, mode="pool")
@@ -670,42 +670,52 @@ class SweepExecutor:
             return True
 
         def record_failure(i, attempt, reason, detail):
-            out = report.points[i]
-            out.failures.append(f"attempt {attempt}: {reason}")
-            if attempt >= self.retry.max_attempts:
-                out.status = "failed"
-                out.error = detail
-                return
-            delay = self.retry.delay(attempt, i)
-            self._note_retry(i, attempt, reason, delay)
-            waiting.append((time.monotonic() + delay, i, attempt + 1))
+            delay = report.points[i].fail(attempt, reason, detail, self.retry)
+            if delay is not None:
+                waiting.append((time.monotonic() + delay, i, attempt + 1))
+
+        def rebuild(cause):
+            """Kill the pool and start a fresh pool generation."""
+            nonlocal pool, generation
+            _kill_pool_processes(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+            report.pool_rebuilds += 1
+            if ins is not None:
+                ins.count("repro_pool_rebuilds_total", cause=cause)
+                ins.event("pool_rebuild", cause=cause)
+            pool = ProcessPoolExecutor(max_workers=workers)
+            generation += 1
+
+        def settle_inflight_and_rebuild(cause, orphan):
+            """Collect finished in-flight futures, hand each unfinished
+            ``(index, attempt)`` to ``orphan``, then rebuild the pool."""
+            for fut, (i, attempt, _dl, _g) in list(inflight.items()):
+                if fut.done():
+                    collect(fut, i, attempt)
+                else:
+                    orphan(i, attempt)
+            inflight.clear()
+            rebuild(cause)
 
         def submit_ready():
-            nonlocal pool, generation
             while ready and len(inflight) < workers:
                 i, attempt = ready.popleft()
                 if self.retry.is_fallback(attempt):
-                    self._fallback_inline(fn, calls[i], i, results, report, label)
+                    self._run_serial(fn, calls, [i], results, report, label,
+                                     first=attempt)
                     continue
                 report.points[i].attempts = attempt
                 deadline = (
                     time.monotonic() + self.timeout
                     if self.timeout is not None else None
                 )
+                task = (pool_worker, fn, calls[i], observe, self.faults,
+                        i, attempt)
                 try:
-                    fut = pool.submit(
-                        pool_worker, fn, calls[i], observe, self.faults,
-                        i, attempt,
-                    )
+                    fut = pool.submit(*task)
                 except (BrokenProcessPool, RuntimeError):
-                    pool = self._rebuild_pool(
-                        pool, workers, cause="crash", report=report
-                    )
-                    generation += 1
-                    fut = pool.submit(
-                        pool_worker, fn, calls[i], observe, self.faults,
-                        i, attempt,
-                    )
+                    rebuild("crash")
+                    fut = pool.submit(*task)
                 inflight[fut] = (i, attempt, deadline, generation)
 
         try:
@@ -744,17 +754,11 @@ class SweepExecutor:
                     # The pool died under every in-flight point; none of
                     # them can be attributed, so each is charged one
                     # pool-broken attempt and retried.
-                    for fut, (i, attempt, _dl, _g) in list(inflight.items()):
-                        if fut.done():
-                            collect(fut, i, attempt)
-                        else:
-                            record_failure(i, attempt, "pool-broken",
-                                           "worker process died (pool broken)")
-                    inflight.clear()
-                    pool = self._rebuild_pool(
-                        pool, workers, cause="crash", report=report
+                    settle_inflight_and_rebuild(
+                        "crash", lambda i, attempt: record_failure(
+                            i, attempt, "pool-broken",
+                            "worker process died (pool broken)"),
                     )
-                    generation += 1
                     continue
 
                 now = time.monotonic()
@@ -772,16 +776,10 @@ class SweepExecutor:
                             i, attempt, "timeout",
                             f"point exceeded the {self.timeout:g}s deadline",
                         )
-                    for fut, (i, attempt, _dl, _g) in list(inflight.items()):
-                        if fut.done():
-                            collect(fut, i, attempt)
-                        else:
-                            ready.appendleft((i, attempt))
-                    inflight.clear()
-                    pool = self._rebuild_pool(
-                        pool, workers, cause="timeout", report=report
+                    settle_inflight_and_rebuild(
+                        "timeout",
+                        lambda i, attempt: ready.appendleft((i, attempt)),
                     )
-                    generation += 1
         except KeyboardInterrupt:
             # Graceful Ctrl-C: no orphaned workers, journal already
             # flushed per point; the caller prints the partial report.

@@ -32,17 +32,19 @@ duplicate claims at worst makes two workers compute the same point, and
 both then append records with the same fingerprint and (because the
 point arithmetic is deterministic and the codec bit-exact) byte-identical
 values; last-record-wins merging makes the duplicates invisible.  The
-drills in :class:`~repro.resilience.faults.ShardFaultPlan` deliberately
-manufacture the worst interleavings (SIGKILL mid-lease, stalled
-heartbeats, claim bypasses, torn segments) and the tests assert the
-merged arrays hash-match the serial reference.
+claim faults of :class:`~repro.resilience.faults.SweepFaultPlan`
+deliberately manufacture the worst interleavings (SIGKILL mid-lease,
+stalled heartbeats, claim bypasses, torn segments) and the tests assert
+the merged arrays hash-match the serial reference.
 
 :class:`ShardExecutor` presents the same surface as
 :class:`~repro.experiments.executor.SweepExecutor` (``map``/``report``/
 ``reports``/``close``), so every figure module's ``executor=`` plumbing
-works unchanged; ``repro sweep-worker FIGURE --shard-dir DIR`` is the
-process entry point and ``repro experiment FIGURE --shard-dir DIR
---workers N`` the convenience launcher.
+works unchanged.  Each claimed point runs through the same attempt loop
+as a serial sweep (:func:`~repro.experiments.executor.run_attempts`).
+``repro sweep-worker FIGURE --shard-dir DIR`` is the process entry point
+and ``repro experiment FIGURE --shard-dir DIR --workers N`` the
+convenience launcher.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.experiments.executor import PointOutcome, SweepReport
+from repro.experiments.executor import PointOutcome, SweepReport, run_attempts
 from repro.experiments.journal import (
     decode_value,
     fingerprint_point,
@@ -70,12 +72,8 @@ from repro.experiments.journal import (
     write_atomic,
 )
 from repro.obs import runtime as _rt
-from repro.resilience.errors import LeaseError, ShardError, SweepError
-from repro.resilience.faults import (
-    ShardFaultPlan,
-    SweepFaultPlan,
-    trigger_point_fault,
-)
+from repro.resilience.errors import LeaseError, ShardError
+from repro.resilience.faults import SweepFaultPlan
 from repro.resilience.retry import RetryPolicy, jitter_fraction
 
 __all__ = [
@@ -102,6 +100,20 @@ def default_worker_id() -> str:
     """``<host>-<pid>``: unique per live process on a shared filesystem."""
     host = socket.gethostname().split(".")[0] or "host"
     return _sanitize(f"{host}-{os.getpid()}")
+
+
+def _create_excl(path: Path, text: str) -> bool:
+    """Durably create ``path`` holding ``text`` (``O_CREAT | O_EXCL`` — the
+    filesystem picks one winner); False when it already exists."""
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    return True
 
 
 def _sanitize(worker_id: str) -> str:
@@ -199,35 +211,26 @@ class ShardNamespace:
             {"schema": MANIFEST_SCHEMA, "version": self.version},
             separators=(",", ":"), sort_keys=True,
         )
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            obj = None
-            try:
-                obj = json.loads(path.read_text())
-            except ValueError:
-                pass
-            if (
-                not isinstance(obj, dict)
-                or obj.get("schema") != MANIFEST_SCHEMA
-            ):
-                raise ShardError(
-                    f"{path} is not a shard manifest; refusing to use "
-                    f"{self.root} as a shard namespace",
-                    shard_dir=self.root,
-                )
-            if obj.get("version") != self.version:
-                raise ShardError(
-                    f"shard namespace {self.root} belongs to version "
-                    f"{obj.get('version')!r}, this worker is {self.version!r}; "
-                    "fingerprints are version-scoped — use a fresh directory",
-                    shard_dir=self.root,
-                )
+        if _create_excl(path, body):
             return
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        obj = None
+        try:
+            obj = json.loads(path.read_text())
+        except ValueError:
+            pass
+        if not isinstance(obj, dict) or obj.get("schema") != MANIFEST_SCHEMA:
+            raise ShardError(
+                f"{path} is not a shard manifest; refusing to use "
+                f"{self.root} as a shard namespace",
+                shard_dir=self.root,
+            )
+        if obj.get("version") != self.version:
+            raise ShardError(
+                f"shard namespace {self.root} belongs to version "
+                f"{obj.get('version')!r}, this worker is {self.version!r}; "
+                "fingerprints are version-scoped — use a fresh directory",
+                shard_dir=self.root,
+            )
 
     # -- paths ---------------------------------------------------------
     def lease_path(self, figure: str, fp: str) -> Path:
@@ -302,8 +305,15 @@ class ShardExecutor:
     :class:`~repro.experiments.executor.SweepExecutor` — figure modules
     take it through the same ``executor=`` keyword.  Points run *inline*
     in this process (the fleet of workers is the parallelism; there is no
-    nested pool), supervised by the same
-    :class:`~repro.resilience.retry.RetryPolicy` retry loop.
+    nested pool and no per-point deadline — hung *peers* are handled by
+    lease expiry), supervised by the same
+    :class:`~repro.resilience.retry.RetryPolicy` attempt loop.
+
+    Every worker appends an advisory, CRC-sealed telemetry stream to
+    ``telemetry/<worker>.tel.jsonl`` — lifecycle, progress/metric
+    heartbeats, per-point wall times and trace-span batches — which
+    ``repro status`` and the fleet trace merger aggregate
+    (:mod:`repro.obs.fleet`).  Results never depend on it.
 
     Parameters
     ----------
@@ -322,23 +332,10 @@ class ShardExecutor:
     retry:
         Per-point inline retry policy (default: 3 attempts).
     faults:
-        Point-level :class:`~repro.resilience.faults.SweepFaultPlan`
-        drill (crash degrades to a raise, as in serial mode).
-    shard_faults:
-        Shard-level :class:`~repro.resilience.faults.ShardFaultPlan`
-        drill — deaths mid-lease, stalled heartbeats, duplicate claims,
-        torn segments.
-    timeout:
-        Accepted for CLI symmetry with ``SweepExecutor`` and ignored — an
-        inline worker cannot preempt itself; hung *peers* are handled by
-        lease expiry instead.
-    telemetry:
-        When true (the default) this worker appends an advisory,
-        CRC-sealed telemetry stream to ``telemetry/<worker>.tel.jsonl``
-        — lifecycle, progress/metric heartbeats, per-point wall times
-        and trace-span batches — which ``repro status`` and the fleet
-        trace merger aggregate (:mod:`repro.obs.fleet`).  Results never
-        depend on it; disable for perf-critical uninstrumented runs.
+        :class:`~repro.resilience.faults.SweepFaultPlan` drill: point
+        faults (a crash degrades to a raise, as in serial mode) and claim
+        faults (deaths mid-lease, stalled heartbeats, duplicate claims,
+        torn segments).
     """
 
     def __init__(
@@ -350,10 +347,7 @@ class ShardExecutor:
         poll: float = 0.1,
         retry: RetryPolicy | None = None,
         faults: SweepFaultPlan | None = None,
-        shard_faults: ShardFaultPlan | None = None,
-        timeout: float | None = None,
         version: str | None = None,
-        telemetry: bool = True,
         propagation: str | None = None,
     ):
         if not lease_ttl > 0:
@@ -367,9 +361,7 @@ class ShardExecutor:
         self.lease_ttl = float(lease_ttl)
         self.poll = float(poll)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        self.shard_faults = shard_faults
-        self.timeout = timeout  # unused; see docstring
+        self.faults = faults if faults is not None else SweepFaultPlan()
         #: epoch-propagation backend handed to every swept model
         self.propagation = propagation
         #: report of the most recent :meth:`map` (None before the first)
@@ -378,8 +370,6 @@ class ShardExecutor:
         self.reports: list[SweepReport] = []
         #: successful lease acquisitions (drills key on this counter)
         self.claims = 0
-
-        self.telemetry = bool(telemetry)
 
         self._held: dict[str, Lease] = {}  # fp -> lease, heartbeat-renewed
         self._held_lock = threading.Lock()
@@ -399,18 +389,6 @@ class ShardExecutor:
         self._steal_seq = 0
 
     # -- lease protocol ------------------------------------------------
-    def _write_lease_excl(self, lease: Lease) -> bool:
-        path = self.ns.lease_path(lease.figure, lease.fp)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(lease.to_json() + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        return True
-
     def _peek_lease(self, figure: str, fp: str) -> Lease | None:
         path = self.ns.lease_path(figure, fp)
         try:
@@ -429,94 +407,77 @@ class ShardExecutor:
                 return None
             raise
 
+    def _bury(self, figure: str, fp: str, generation: int) -> bool:
+        """Rename a lease into ``graves/`` — an atomic compare-and-swap
+        with exactly one winner.  False when another worker moved it."""
+        self._steal_seq += 1
+        grave = self.ns.graves / (
+            f"{figure}.{fp[:32]}.g{generation}"
+            f".{self.worker_id}.{self._steal_seq}.json"
+        )
+        try:
+            os.rename(self.ns.lease_path(figure, fp), grave)
+        except FileNotFoundError:
+            return False
+        return True
+
+    def _claim(self, figure: str, fp: str, index: int, generation: int,
+               **attrs) -> Lease | None:
+        """Race to create a lease at ``generation`` (``> 1`` is a steal)
+        under a ``lease_acquire`` span carrying ``attrs``; ``None`` when
+        another worker created it first."""
+        lease = Lease(
+            figure=figure, fp=fp, index=index, owner=self.worker_id,
+            generation=generation, deadline=time.time() + self.lease_ttl,
+        )
+        ins = _rt.ACTIVE
+        with nullcontext() if ins is None else ins.span(
+                "lease_acquire", figure=figure, index=index,
+                generation=generation, **attrs):
+            won = _create_excl(self.ns.lease_path(figure, fp), lease.to_json())
+        if not won:
+            return None
+        if ins is not None:
+            stolen = generation > 1
+            ins.count("repro_leases_acquired_total",
+                      mode="steal" if stolen else "fresh")
+            if stolen:
+                ins.count("repro_points_stolen_total")
+        return lease
+
     def try_claim(self, figure: str, fp: str, index: int) -> Lease | None:
         """Claim one point: fresh acquire, or steal an expired lease.
 
         Returns the held :class:`Lease` (``generation > 1`` marks a
         steal) or ``None`` when a live peer holds the point.
         """
-        ins = _rt.ACTIVE
-        if self.shard_faults is not None and self.shard_faults.duplicate_claim:
+        if self.faults.duplicate_claim:
             # Drill: compute without coordinating at all — the worst
             # duplicate-claim race, on purpose.  Merge must absorb it.
             return Lease(figure=figure, fp=fp, index=index,
                          owner=self.worker_id, generation=1,
                          deadline=time.time() + self.lease_ttl, phantom=True)
         current = self._peek_lease(figure, fp)
-        if current is None and self.ns.lease_path(figure, fp).exists():
-            # A torn (empty) lease from a crashed claimer would block the
-            # O_EXCL create below; clear it like a steal — atomic rename,
-            # exactly one winner — then race for the fresh claim.
-            self._steal_seq += 1
-            grave = self.ns.graves / (
-                f"{figure}.{fp[:32]}.g0.{self.worker_id}.{self._steal_seq}"
-                ".json"
-            )
-            try:
-                os.rename(self.ns.lease_path(figure, fp), grave)
-            except FileNotFoundError:
-                pass  # another worker cleared it first; race for the claim
         if current is None:
-            lease = Lease(
-                figure=figure, fp=fp, index=index, owner=self.worker_id,
-                generation=1, deadline=time.time() + self.lease_ttl,
-            )
-            ctx = (
-                ins.span("lease_acquire", figure=figure, index=index,
-                         generation=1)
-                if ins is not None else None
-            )
-            if ctx is not None:
-                with ctx:
-                    won = self._write_lease_excl(lease)
-            else:
-                won = self._write_lease_excl(lease)
-            if not won:
-                return None
-            if ins is not None:
-                ins.count("repro_leases_acquired_total", mode="fresh")
-            return lease
-        if current.owner == self.worker_id:
-            # Our own stale lease from a previous incarnation of this
-            # worker id: treat like any other expired lease below.
-            pass
+            if self.ns.lease_path(figure, fp).exists():
+                # A torn (empty) lease from a crashed claimer would block
+                # the O_EXCL create; clear it like a steal (if another
+                # worker cleared it first, just race for the claim).
+                self._bury(figure, fp, 0)
+            return self._claim(figure, fp, index, 1)
+        # A live lease blocks us — even our own from a previous
+        # incarnation of this worker id, until it expires like any other.
         if time.time() <= current.deadline:
             return None
-        # Expired: steal via atomic rename — exactly one winner.
+        ins = _rt.ACTIVE
         if ins is not None:
             ins.count("repro_lease_expiries_total")
-        self._steal_seq += 1
-        grave = self.ns.graves / (
-            f"{figure}.{fp[:32]}.g{current.generation}"
-            f".{self.worker_id}.{self._steal_seq}.json"
-        )
-        try:
-            os.rename(self.ns.lease_path(figure, fp), grave)
-        except FileNotFoundError:
+        if not self._bury(figure, fp, current.generation):
             return None  # another stealer (or a releasing owner) won
-        lease = Lease(
-            figure=figure, fp=fp, index=index, owner=self.worker_id,
-            generation=current.generation + 1,
-            deadline=time.time() + self.lease_ttl,
-        )
-        ctx = (
-            ins.span("lease_acquire", figure=figure, index=index,
-                     generation=lease.generation, stolen_from=current.owner)
-            if ins is not None else None
-        )
-        if ctx is not None:
-            with ctx:
-                won = self._write_lease_excl(lease)
-        else:
-            won = self._write_lease_excl(lease)
-        if not won:
-            # A third worker re-claimed between our rename and create;
-            # benign — we simply did not get the point.
-            return None
-        if ins is not None:
-            ins.count("repro_leases_acquired_total", mode="steal")
-            ins.count("repro_points_stolen_total")
-        return lease
+        # A third worker may re-claim between our rename and create;
+        # benign — we simply do not get the point.
+        return self._claim(figure, fp, index, current.generation + 1,
+                           stolen_from=current.owner)
 
     def renew(self, lease: Lease, *, observe: bool = True) -> bool:
         """Extend a held lease; returns False (and flags it lost) if stolen.
@@ -527,15 +488,7 @@ class ShardExecutor:
         """
         if lease.phantom:
             return True
-        try:
-            current = self._peek_lease(lease.figure, lease.fp)
-        except LeaseError:
-            current = None
-        if (
-            current is None
-            or current.owner != lease.owner
-            or current.generation != lease.generation
-        ):
+        if not self._owns(lease):
             lease.lost = True
             return False
         lease.deadline = time.time() + self.lease_ttl
@@ -560,18 +513,20 @@ class ShardExecutor:
 
     def release(self, lease: Lease) -> None:
         """Drop a held lease (only if still ours — never a thief's)."""
-        if lease.phantom:
-            return
+        if not lease.phantom and self._owns(lease):
+            self.ns.lease_path(lease.figure, lease.fp).unlink(missing_ok=True)
+
+    def _owns(self, lease: Lease) -> bool:
+        """True while the lease file still holds this exact claim."""
         try:
             current = self._peek_lease(lease.figure, lease.fp)
         except LeaseError:
-            return
-        if (
+            return False
+        return (
             current is not None
             and current.owner == lease.owner
             and current.generation == lease.generation
-        ):
-            self.ns.lease_path(lease.figure, lease.fp).unlink(missing_ok=True)
+        )
 
     # -- heartbeat -----------------------------------------------------
     def _heartbeat(self) -> None:
@@ -664,7 +619,7 @@ class ShardExecutor:
         self._segment_fh.write(record_line(rec) + "\n")
         self._segment_fh.flush()
         os.fsync(self._segment_fh.fileno())
-        if self.shard_faults is not None and self.shard_faults.tear_segment:
+        if self.faults.tear_segment:
             # Drill: append a torn half-record; every reader must
             # quarantine it, none may crash or trust it.
             self._segment_fh.write('{"schema":"' + "repro-sweep-journal/1"
@@ -746,60 +701,8 @@ class ShardExecutor:
         return self._merged.setdefault(figure, {})
 
     # -- point computation ---------------------------------------------
-    def _compute_point(
-        self, fn: Callable[..., Any], args: tuple, index: int,
-        out: PointOutcome,
-    ) -> tuple[bool, Any]:
-        """Inline retry loop for one claimed point (mirrors serial mode)."""
-        ins = _rt.ACTIVE
-        for attempt in range(1, self.retry.max_attempts + 1):
-            out.attempts = attempt
-            fallback = self.retry.is_fallback(attempt)
-            t0 = time.perf_counter()
-            try:
-                if ins is not None:
-                    with ins.span("sweep_point", fn=fn.__name__, mode="shard"):
-                        if self.faults is not None and not fallback:
-                            trigger_point_fault(
-                                self.faults, index, attempt, inline=True
-                            )
-                        value = fn(*args)
-                    ins.count("repro_sweep_points_total", mode="shard")
-                else:
-                    if self.faults is not None and not fallback:
-                        trigger_point_fault(
-                            self.faults, index, attempt, inline=True
-                        )
-                    value = fn(*args)
-            except Exception as exc:
-                from repro.experiments.executor import _failure_reason
-
-                reason = _failure_reason(exc)
-                out.failures.append(f"attempt {attempt}: {reason}")
-                if attempt >= self.retry.max_attempts:
-                    out.status = "failed"
-                    out.error = f"{type(exc).__name__}: {exc}"
-                    return False, None
-                delay = self.retry.delay(attempt, index)
-                if ins is not None:
-                    with ins.span("point_retry", index=index, attempt=attempt,
-                                  reason=reason, delay=round(delay, 6)):
-                        pass
-                    ins.count("repro_point_retries_total", reason=reason)
-                if delay:
-                    time.sleep(delay)
-                continue
-            out.seconds = time.perf_counter() - t0
-            if ins is not None:
-                ins.observe("repro_point_seconds", out.seconds, mode="shard")
-            return True, value
-        return False, None  # pragma: no cover - loop always returns
-
-    def _finish_point(
-        self, figure: str, args: tuple, i: int, lease: Lease,
-        out: PointOutcome, ok: bool, value: Any,
-        results: list, done: set, computed_here: set, local_failed: set,
-    ) -> None:
+    def _finish_point(self, figure: str, args: tuple, lease: Lease,
+                      out: PointOutcome, ok: bool, value: Any) -> None:
         """Record, release, and report one claimed point after compute."""
         if ok:
             # Renew (and notice theft) right before the record lands; a
@@ -808,42 +711,27 @@ class ShardExecutor:
             self.renew(lease)
             self._append_segment(figure, make_record(
                 figure, args, version=self.ns.version,
-                index=i, value=value,
+                index=out.index, value=value,
                 status="ok", attempts=out.attempts,
                 owner=self.worker_id, generation=lease.generation,
                 seconds=out.seconds,
             ))
-            results[i] = value
             out.owner = self.worker_id
             out.generation = lease.generation
             out.steals = max(0, lease.generation - 1)
             if lease.generation > 1:
-                out.status = "stolen"
-            elif out.attempts == 1:
-                out.status = "ok"
-            elif self.retry.is_fallback(out.attempts):
-                out.status = "salvaged"
-            else:
-                out.status = "retried"
-            computed_here.add(i)
-            done.add(i)
-            self._tel_counts["computed"] += 1
-            if lease.generation > 1:
+                out.status = "stolen"  # run_attempts settled the rest
                 self._tel_counts["stolen"] += 1
+            self._tel_counts["computed"] += 1
+            self._tel_writer.emit(
+                "point", index=out.index, seconds=round(out.seconds, 9),
+                status=out.status, generation=lease.generation,
+            )
         else:
-            local_failed.add(i)
             self._tel_counts["failed"] += 1
         self._drop(lease)
-        if self._tel_writer is not None:
-            if ok:
-                self._tel_writer.emit(
-                    "point", index=i,
-                    seconds=round(out.seconds, 9),
-                    status=out.status,
-                    generation=lease.generation,
-                )
-            self._ship_spans()
-            self._emit_progress()
+        self._ship_spans()
+        self._emit_progress()
 
     # -- the cooperative sweep -----------------------------------------
     def map(
@@ -871,29 +759,27 @@ class ShardExecutor:
         self.reports.append(report)
         ins = _rt.ACTIVE
 
-        if self.telemetry:
-            if self._tel_writer is None:
-                from repro.obs.fleet import TelemetryWriter
+        if self._tel_writer is None:
+            from repro.obs.fleet import TelemetryWriter
 
-                self._tel_writer = TelemetryWriter(
-                    self.ns.telemetry_path(self.worker_id), self.worker_id
-                )
-            tracer = ins.tracer if ins is not None else None
-            self._tel_writer.emit(
-                "hello", figure=figure, total=len(calls), pid=os.getpid(),
-                host=socket.gethostname().split(".")[0],
-                epoch_unix=(
-                    tracer.epoch_unix if tracer is not None else time.time()
-                ),
+            self._tel_writer = TelemetryWriter(
+                self.ns.telemetry_path(self.worker_id), self.worker_id
             )
-            # Heartbeat from the very start (not first claim), so even a
-            # claim-starved worker shows a live pulse in `repro status`.
-            self._start_heartbeat()
+        tracer = ins.tracer if ins is not None else None
+        self._tel_writer.emit(
+            "hello", figure=figure, total=len(calls), pid=os.getpid(),
+            host=socket.gethostname().split(".")[0],
+            epoch_unix=(
+                tracer.epoch_unix if tracer is not None else time.time()
+            ),
+        )
+        # Heartbeat from the very start (not first claim), so even a
+        # claim-starved worker shows a live pulse in `repro status`.
+        self._start_heartbeat()
 
         results: list[Any] = [None] * len(calls)
         done: set[int] = set()
         local_failed: set[int] = set()
-        computed_here: set[int] = set()
 
         def settle_from(merged: dict[str, dict], *, initial: bool) -> None:
             for i in range(len(calls)):
@@ -909,9 +795,7 @@ class ShardExecutor:
                 out.generation = gen
                 out.steals = max(0, gen - 1)
                 out.seconds = float(rec.get("seconds", 0.0) or 0.0)
-                if i in computed_here:
-                    pass  # status was set at compute time
-                elif initial:
+                if initial:
                     out.status = "resumed"
                     if ins is not None:
                         ins.count("repro_points_resumed_total")
@@ -938,33 +822,33 @@ class ShardExecutor:
                     if lease is None:
                         continue
                     self.claims += 1
-                    sf = self.shard_faults
-                    if sf is not None and sf.dies_now(self.claims):
+                    if self.faults.dies_now(self.claims):
                         # Drill: die holding the lease — no cleanup, no
                         # release; peers must steal after the TTL.
                         os.kill(os.getpid(), signal.SIGKILL)
-                    if sf is not None and sf.stalls_now(self.claims):
+                    if self.faults.stalls_now(self.claims):
                         lease.stalled = True  # heartbeat abandons it
-                        time.sleep(sf.stall_seconds)
+                        time.sleep(self.faults.stall_seconds)
                     self._hold(lease)
                     # One container span per claimed point: compute plus
                     # the coordination overhead around it (segment fsync,
                     # lease release, telemetry), so the fleet coverage
                     # gate sees where claimed wall time actually went.
-                    ctx = (
-                        ins.span("shard_point", index=i,
-                                 generation=lease.generation)
-                        if ins is not None else nullcontext()
-                    )
-                    with ctx:
-                        out = report.points[i]
-                        ok, value = self._compute_point(
-                            fn, calls[i], i, out
+                    out = report.points[i]
+                    with nullcontext() if ins is None else ins.span(
+                            "shard_point", index=i,
+                            generation=lease.generation):
+                        ok, value = run_attempts(
+                            fn, calls[i], out, self.retry, self.faults,
+                            mode="shard",
                         )
-                        self._finish_point(
-                            figure, calls[i], i, lease, out, ok, value,
-                            results, done, computed_here, local_failed,
-                        )
+                        self._finish_point(figure, calls[i], lease, out,
+                                           ok, value)
+                    if ok:
+                        results[i] = value
+                        done.add(i)
+                    else:
+                        local_failed.add(i)
                     progressed = True
                     break  # refresh the merged view between points
                 settle_from(self.merged(figure), initial=False)
@@ -973,19 +857,9 @@ class ShardExecutor:
                 # Nothing claimable: either peers hold live leases on
                 # the remainder, or every remaining point failed here.
                 still = [i for i in range(len(calls)) if i not in done]
-                if still and all(i in local_failed for i in still):
-                    if not self._any_live_peer_lease(figure, fps, still):
-                        report_failed = [
-                            i for i in still
-                            if report.points[i].status == "failed"
-                        ]
-                        raise SweepError(
-                            f"sweep {figure!r}: {len(report_failed)} of "
-                            f"{report.total} points failed beyond retry on "
-                            f"every live worker (indices {report_failed}); "
-                            "completed points are in the shard segments",
-                            report=report,
-                        )
+                if all(i in local_failed for i in still) and \
+                        not self._any_live_peer_lease(figure, fps, still):
+                    break  # failed here beyond retry, no live peer left
                 tick += 1
                 nap = self.poll * (0.75 + 0.5 * jitter_fraction(
                     zlib.crc32(self.worker_id.encode()) & 0xFFFF, tick
@@ -998,35 +872,28 @@ class ShardExecutor:
             raise
         finally:
             self._stop_heartbeat()
-            if self._tel_writer is not None:
-                self._ship_spans()
-                if ins is not None and ins.metrics is not None:
-                    # Final cumulative snapshot: short sweeps end before
-                    # the heartbeat ever ships one.
-                    self._tel_writer.emit(
-                        "metrics", metrics=ins.metrics.to_dict())
-                if report.interrupted:
-                    status = "interrupted"
-                elif report.complete:
-                    status = "complete"
-                else:
-                    status = "failed"
-                counts = self._tel_counts
+            self._ship_spans()
+            if ins is not None and ins.metrics is not None:
+                # Final cumulative snapshot: short sweeps end before
+                # the heartbeat ever ships one.
                 self._tel_writer.emit(
-                    "bye", status=status, claims=self.claims,
-                    computed=counts["computed"], merged=counts["merged"],
-                    stolen=counts["stolen"], failed=counts["failed"],
-                    idle=round(counts["idle"], 6),
-                )
+                    "metrics", metrics=ins.metrics.to_dict())
+            if report.interrupted:
+                status = "interrupted"
+            elif report.complete:
+                status = "complete"
+            else:
+                status = "failed"
+            counts = self._tel_counts
+            self._tel_writer.emit(
+                "bye", status=status, claims=self.claims,
+                computed=counts["computed"], merged=counts["merged"],
+                stolen=counts["stolen"], failed=counts["failed"],
+                idle=round(counts["idle"], 6),
+            )
 
         if not report.complete:
-            bad = [p.index for p in report.points if p.status == "failed"]
-            raise SweepError(
-                f"sweep {figure!r}: {len(bad)} of {report.total} points "
-                f"failed beyond retry (indices {bad}); completed points are "
-                "in the shard segments",
-                report=report,
-            )
+            raise report.beyond_retry("are in the shard segments")
         return results
 
     def _any_live_peer_lease(

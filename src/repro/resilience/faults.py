@@ -22,14 +22,19 @@ duck-typed surface, so the solver code under test is byte-for-byte the
 production code.
 
 One layer up, :class:`SweepFaultPlan` manufactures *process-level*
-accidents for the supervised sweep runtime
-(:class:`~repro.experiments.executor.SweepExecutor`): a worker that
-SIGKILLs itself mid-point (``crash_point`` — the parent sees
-``BrokenProcessPool`` and must rebuild the pool), a worker that hangs
-past any deadline (``hang_point``), and a point function that raises
-(``fail_point``).  Triggers are deterministic — keyed on the point index
-and the 1-based attempt number — so every supervision branch (timeout,
-rebuild, retry, inline salvage) has a reproducible drill.
+accidents for every sweep runtime — the serial and pooled
+:class:`~repro.experiments.executor.SweepExecutor` and the lease-based
+:class:`~repro.experiments.shard.ShardExecutor`.  Point faults key on the
+point index and the 1-based attempt number: a worker that SIGKILLs itself
+mid-point (``crash_point`` — the parent sees ``BrokenProcessPool`` and
+must rebuild the pool), a worker that hangs past any deadline
+(``hang_point``), and a point function that raises (``fail_point``).
+Claim faults key on a shard worker's own lease-claim count: death
+holding a lease, a stalled heartbeat, claims that bypass the lease, and
+torn segment appends.  :meth:`SweepFaultPlan.parse` reads the CLI's
+``--drill KIND@N`` grammar from one table, :data:`SWEEP_DRILLS`, so every
+supervision branch (timeout, rebuild, retry, inline salvage, steal,
+quarantine) has a reproducible drill.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from repro.resilience.errors import InjectedFaultError, SingularLevelError
 __all__ = [
     "FaultPlan",
     "FaultyLevel",
+    "SWEEP_DRILLS",
     "ServeFaultPlan",
-    "ShardFaultPlan",
     "SweepFaultPlan",
     "apply_faults",
     "trigger_point_fault",
@@ -244,26 +249,52 @@ def apply_faults(ops: LevelOperators, plan: "FaultPlan | None"):
 
 
 # ----------------------------------------------------------------------
-# Process-level faults: drills for the supervised sweep runtime.
+# Sweep-level faults: drills for every sweep runtime (serial, pool, shard).
+#: Placeholder in :data:`SWEEP_DRILLS` for the number after ``@``.
+_COUNT = object()
+
+#: ``--drill`` grammar: kind -> (operand, the plan fields it arms).  The
+#: operand after ``@`` is a point ``index`` (required, >= 0) or a
+#: worker-local ``claims`` count (optional, default 1, >= 1; shard
+#: workers only — the two boolean kinds check it and ignore it).
+SWEEP_DRILLS = {
+    "crash": ("index", {"crash_point": _COUNT}),
+    "crash-always": ("index", {"crash_point": _COUNT, "crash_attempts": None}),
+    "hang": ("index", {"hang_point": _COUNT}),
+    "hang-always": ("index", {"hang_point": _COUNT, "hang_attempts": None}),
+    "fail": ("index", {"fail_point": _COUNT}),
+    "die-after-claim": ("claims", {"die_after_claims": _COUNT}),
+    "stale-heartbeat": ("claims", {"stall_heartbeat_after": _COUNT}),
+    "duplicate-claim": ("claims", {"duplicate_claim": True}),
+    "torn-segment": ("claims", {"tear_segment": True}),
+}
+
+
 @dataclass(frozen=True)
 class SweepFaultPlan:
     """Deterministic process-level faults for sweep supervision drills.
 
-    Each fault names a *point index* and the number of leading attempts
-    it fires on: ``crash_attempts=1`` (the default) kills only the first
+    Point faults name a *point index* and the number of leading attempts
+    they fire on: ``crash_attempts=1`` (the default) kills only the first
     attempt, so the supervised retry succeeds and the point ends up
     ``retried``; ``crash_attempts=None`` kills every pool attempt, so
     only the inline-fallback rung in the parent can salvage the point.
     Faults never fire on the inline fallback itself — the parent process
     is the rung being drilled, not the target.
 
+    Claim faults drive the lease/steal/merge machinery of
+    :class:`~repro.experiments.shard.ShardExecutor`.  They key on the
+    worker's *claim count* — "the Nth lease this worker successfully
+    acquires" — not on point indices, because which worker claims which
+    point first is racy across processes; the claim counter is local and
+    exact.
+
     Parameters
     ----------
     crash_point:
         Index whose worker SIGKILLs itself (``BrokenProcessPool`` in the
         parent; raises :class:`InjectedFaultError` when the attempt runs
-        inline at ``jobs=1``, where a real SIGKILL would take the parent
-        down with it).
+        inline, where a real SIGKILL would take the parent down with it).
     crash_attempts:
         Attempts (1-based, leading) that crash; ``None`` = all pool
         attempts.
@@ -276,62 +307,11 @@ class SweepFaultPlan:
     fail_point / fail_attempts:
         Index whose attempt raises :class:`InjectedFaultError` inside the
         point function, exercising the plain exception-retry branch.
-    """
-
-    crash_point: int | None = None
-    crash_attempts: int | None = 1
-    hang_point: int | None = None
-    hang_attempts: int | None = 1
-    hang_seconds: float = 3600.0
-    fail_point: int | None = None
-    fail_attempts: int | None = 1
-
-    @property
-    def active(self) -> bool:
-        """True when any process-level fault is armed."""
-        return (
-            self.crash_point is not None
-            or self.hang_point is not None
-            or self.fail_point is not None
-        )
-
-    @staticmethod
-    def _fires(point: int | None, attempts: int | None,
-               index: int, attempt: int) -> bool:
-        if point is None or point != index:
-            return False
-        return attempts is None or attempt <= attempts
-
-    def crashes(self, index: int, attempt: int) -> bool:
-        return self._fires(self.crash_point, self.crash_attempts, index, attempt)
-
-    def hangs(self, index: int, attempt: int) -> bool:
-        return self._fires(self.hang_point, self.hang_attempts, index, attempt)
-
-    def fails(self, index: int, attempt: int) -> bool:
-        return self._fires(self.fail_point, self.fail_attempts, index, attempt)
-
-
-# ----------------------------------------------------------------------
-# Shard-level faults: drills for the distributed sweep runtime.
-@dataclass(frozen=True)
-class ShardFaultPlan:
-    """Deterministic distributed-coordination faults for shard drills.
-
-    These drive the lease/steal/merge machinery of
-    :class:`~repro.experiments.shard.ShardExecutor` through its failure
-    matrix without any nondeterministic racing.  Triggers are keyed on
-    the worker's *claim count* — "the Nth lease this worker successfully
-    acquires" — not on point indices, because which worker claims which
-    point first is inherently racy across processes; the claim counter is
-    local and exact.
-
-    Parameters
-    ----------
     die_after_claims:
-        SIGKILL this worker immediately after its Nth successful lease
-        acquisition — the held lease never gets a value, its heartbeat
-        stops, and a surviving peer must steal the point after expiry.
+        SIGKILL this shard worker immediately after its Nth successful
+        lease acquisition — the held lease never gets a value, its
+        heartbeat stops, and a surviving peer must steal the point after
+        expiry.
     stall_heartbeat_after:
         After the Nth claim, stop renewing that lease and stall the
         point computation for ``stall_seconds`` (longer than the lease
@@ -347,10 +327,17 @@ class ShardFaultPlan:
         must still be exact — same fingerprints, bit-identical values.
     tear_segment:
         After each record this worker appends, also append a torn half
-        record (no trailing newline completion) to its own segment,
-        exercising quarantine-on-merge in every reader.
+        record to its own segment, exercising quarantine-on-merge in
+        every reader.
     """
 
+    crash_point: int | None = None
+    crash_attempts: int | None = 1
+    hang_point: int | None = None
+    hang_attempts: int | None = 1
+    hang_seconds: float = 3600.0
+    fail_point: int | None = None
+    fail_attempts: int | None = 1
     die_after_claims: int | None = None
     stall_heartbeat_after: int | None = None
     stall_seconds: float = 2.0
@@ -358,8 +345,8 @@ class ShardFaultPlan:
     tear_segment: bool = False
 
     @property
-    def active(self) -> bool:
-        """True when any shard fault is armed."""
+    def claims_armed(self) -> bool:
+        """True when a claim fault (shard workers only) is armed."""
         return (
             self.die_after_claims is not None
             or self.stall_heartbeat_after is not None
@@ -367,16 +354,57 @@ class ShardFaultPlan:
             or self.tear_segment
         )
 
+    @property
+    def active(self) -> bool:
+        """True when any fault is armed."""
+        return (
+            self.crash_point is not None
+            or self.hang_point is not None
+            or self.fail_point is not None
+            or self.claims_armed
+        )
+
+    def fires(self, kind: str, index: int, attempt: int) -> bool:
+        """True when point fault ``kind`` (crash/hang/fail) fires on
+        ``(index, attempt)``."""
+        attempts = getattr(self, f"{kind}_attempts")
+        return getattr(self, f"{kind}_point") == index and (
+            attempts is None or attempt <= attempts
+        )
+
     def dies_now(self, claims: int) -> bool:
         """True when the worker must SIGKILL after its ``claims``-th claim."""
-        return self.die_after_claims is not None and claims == self.die_after_claims
+        return claims == self.die_after_claims
 
     def stalls_now(self, claims: int) -> bool:
         """True when this claim's heartbeat must stall."""
-        return (
-            self.stall_heartbeat_after is not None
-            and claims == self.stall_heartbeat_after
-        )
+        return claims == self.stall_heartbeat_after
+
+    @classmethod
+    def parse(cls, text: str) -> "SweepFaultPlan":
+        """Parse one ``--drill`` spec like ``"crash@1"`` (see
+        :data:`SWEEP_DRILLS`); raises ``ValueError`` on nonsense."""
+        kind, _sep, count_text = text.partition("@")
+        if kind not in SWEEP_DRILLS:
+            raise ValueError(
+                f"unknown drill kind {kind!r} in {text!r} "
+                f"(want one of {', '.join(SWEEP_DRILLS)})"
+            )
+        operand, fields = SWEEP_DRILLS[kind]
+        low = 0 if operand == "index" else 1
+        try:
+            count = int(count_text) if count_text or operand == "index" else 1
+        except ValueError:
+            raise ValueError(
+                f"drill {text!r} must be {kind}@{operand.upper()}, "
+                f"{operand} an integer"
+            ) from None
+        if count < low:
+            raise ValueError(f"drill {text!r}: {operand} must be >= {low}")
+        return cls(**{
+            name: count if value is _COUNT else value
+            for name, value in fields.items()
+        })
 
 
 def trigger_point_fault(
@@ -386,35 +414,28 @@ def trigger_point_fault(
     *,
     inline: bool = False,
 ) -> None:
-    """Fire the armed fault for ``(index, attempt)``, if any.
+    """Fire the armed point fault for ``(index, attempt)``, if any.
 
     Called at the top of every supervised point attempt.  In a pool
     worker (``inline=False``) a crash is a genuine ``SIGKILL`` and a hang
-    a genuine sleep; inline (``jobs=1``) both degrade to a raised
+    a genuine sleep; inline both degrade to a raised
     :class:`InjectedFaultError`, so a drilled serial sweep exercises the
     same retry bookkeeping — and produces the same final results — as the
     pooled one without killing the parent process.
     """
     if plan is None:
         return
-    if plan.crashes(index, attempt):
-        if not inline:
+    for kind, what in (("crash", "crash"), ("hang", "hang"),
+                       ("fail", "failure")):
+        if not plan.fires(kind, index, attempt):
+            continue
+        if kind == "crash" and not inline:
             os.kill(os.getpid(), signal.SIGKILL)  # no cleanup, by design
-        raise InjectedFaultError(
-            f"injected fault: crash of point {index} (attempt {attempt})",
-            mode="crash", index=index, attempt=attempt,
-        )
-    if plan.hangs(index, attempt):
-        if not inline:
+        if kind == "hang" and not inline:
             time.sleep(plan.hang_seconds)
         raise InjectedFaultError(
-            f"injected fault: hang of point {index} (attempt {attempt})",
-            mode="hang", index=index, attempt=attempt,
-        )
-    if plan.fails(index, attempt):
-        raise InjectedFaultError(
-            f"injected fault: failure of point {index} (attempt {attempt})",
-            mode="fail", index=index, attempt=attempt,
+            f"injected fault: {what} of point {index} (attempt {attempt})",
+            mode=kind, index=index, attempt=attempt,
         )
 
 

@@ -46,10 +46,6 @@ def jitter_fraction(index: int, attempt: int) -> float:
     return (x >> 11) / float(1 << 53)
 
 
-#: Backward-compatible private alias (monkeypatched in older tests).
-_jitter_fraction = jitter_fraction
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How (and how often) a failed sweep point is re-run.
@@ -117,7 +113,7 @@ class RetryPolicy:
         if attempt < 1:
             raise ValueError(f"attempt is 1-based, got {attempt!r}")
         raw = self.base_delay * self.multiplier ** (attempt - 1)
-        raw *= 1.0 + self.jitter * _jitter_fraction(index, attempt)
+        raw *= 1.0 + self.jitter * jitter_fraction(index, attempt)
         return min(raw, self.max_delay)
 
 

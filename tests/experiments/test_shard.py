@@ -34,7 +34,7 @@ from repro.experiments.shard import (
     default_worker_id,
 )
 from repro.resilience.errors import LeaseError, ShardError, SweepError
-from repro.resilience.faults import ShardFaultPlan, SweepFaultPlan
+from repro.resilience.faults import SweepFaultPlan
 from repro.resilience.retry import RetryPolicy
 
 FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.02)
@@ -272,6 +272,25 @@ class TestCooperativeSweep:
         assert w1.report.retried == 1 and w1.report.exit_code() == 1
         w1.close()
 
+    def test_inline_fallback_salvage_is_counted(self, tmp_path):
+        # The fallback attempt never fires the drill, so a point failing
+        # every other attempt is salvaged — and counted like the serial
+        # and pool runtimes count it.
+        from repro.obs.instrument import Instrumentation
+
+        w1 = _worker(tmp_path, "w1",
+                     faults=SweepFaultPlan(fail_point=1, fail_attempts=None))
+        ins = Instrumentation.enabled()
+        with ins.activate():
+            results = w1.map(_arr, CALLS, label="figX")
+        _assert_bit_identical(results)
+        assert w1.report.points[1].status == "salvaged"
+        assert w1.report.points[1].attempts == 3
+        assert w1.report.salvaged == 1 and w1.report.exit_code() == 1
+        salvaged = ins.metrics.counter("repro_points_salvaged_total")
+        assert salvaged.value() == 1
+        w1.close()
+
 
 # ----------------------------------------------------------------------
 # Shard fault drills (the failure matrix)
@@ -281,7 +300,7 @@ class TestShardDrills:
         # while w2 sweeps normally afterwards: the merge must contain one
         # record per fingerprint and both workers agree bit-exactly.
         w1 = _worker(tmp_path, "w1",
-                     shard_faults=ShardFaultPlan(duplicate_claim=True))
+                     faults=SweepFaultPlan(duplicate_claim=True))
         r1 = w1.map(_arr, CALLS, label="figX")
         w2 = _worker(tmp_path, "w2")
         r2 = w2.map(_arr, CALLS, label="figX")
@@ -297,8 +316,8 @@ class TestShardDrills:
         # the TTL; w2 steals and completes the sweep.  w1 then finishes
         # its stalled point late — a duplicate, absorbed by the merge.
         w1 = _worker(tmp_path, "w1", lease_ttl=0.2,
-                     shard_faults=ShardFaultPlan(stall_heartbeat_after=1,
-                                                 stall_seconds=0.5))
+                     faults=SweepFaultPlan(stall_heartbeat_after=1,
+                                           stall_seconds=0.5))
         w2 = _worker(tmp_path, "w2", lease_ttl=0.2)
 
         import threading
@@ -323,7 +342,7 @@ class TestShardDrills:
 
     def test_torn_segment_is_quarantined_not_trusted(self, tmp_path):
         w1 = _worker(tmp_path, "w1",
-                     shard_faults=ShardFaultPlan(tear_segment=True))
+                     faults=SweepFaultPlan(tear_segment=True))
         r1 = w1.map(_arr, CALLS, label="figX")
         _assert_bit_identical(r1)
         w2 = _worker(tmp_path, "w2")
@@ -346,13 +365,13 @@ class TestShardDrills:
             "import sys, numpy as np\n"
             "sys.path.insert(0, {src!r})\n"
             "from repro.experiments.shard import ShardExecutor\n"
-            "from repro.resilience.faults import ShardFaultPlan\n"
+            "from repro.resilience.faults import SweepFaultPlan\n"
             "def _arr(x):\n"
             "    return np.arange(5, dtype=float) * x + 0.125\n"
             "CALLS = [(float(i),) for i in range(6)]\n"
             "ex = ShardExecutor({ns!r}, worker_id='doomed', lease_ttl=0.5,\n"
             "                   poll=0.02, version='test',\n"
-            "                   shard_faults=ShardFaultPlan(die_after_claims=1))\n"
+            "                   faults=SweepFaultPlan(die_after_claims=1))\n"
             "ex.map(_arr, CALLS, label='figX')\n"
         ).format(src=str(_SRC), ns=str(ns))
         proc = subprocess.run([sys.executable, "-c", code],

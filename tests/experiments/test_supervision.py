@@ -99,11 +99,12 @@ class TestRetryPolicy:
 class TestFaultPlan:
     def test_triggers_key_on_index_and_attempt(self):
         plan = SweepFaultPlan(fail_point=2, fail_attempts=1)
-        assert plan.fails(2, 1)
-        assert not plan.fails(2, 2)
-        assert not plan.fails(1, 1)
+        assert plan.fires("fail", 2, 1)
+        assert not plan.fires("fail", 2, 2)
+        assert not plan.fires("fail", 1, 1)
+        assert not plan.fires("crash", 2, 1)
         always = SweepFaultPlan(crash_point=0, crash_attempts=None)
-        assert always.crashes(0, 99)
+        assert always.fires("crash", 0, 99)
 
     def test_inline_crash_degrades_to_exception(self):
         plan = SweepFaultPlan(crash_point=0)

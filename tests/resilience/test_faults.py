@@ -136,29 +136,30 @@ class TestStationaryVectorGuards:
 
 
 class TestShardFaultPlan:
-    """Shard drills: armed by claim COUNT, which is worker-local and exact
-    (point→worker assignment is racy; the local claim counter is not)."""
+    """SweepFaultPlan's claim faults (shard drills): armed by claim COUNT,
+    which is worker-local and exact (point→worker assignment is racy; the
+    local claim counter is not)."""
 
     def test_inactive_by_default(self):
-        from repro.resilience.faults import ShardFaultPlan
+        from repro.resilience.faults import SweepFaultPlan
 
-        plan = ShardFaultPlan()
+        plan = SweepFaultPlan()
         assert not plan.active
         assert not plan.dies_now(1)
         assert not plan.stalls_now(1)
 
     def test_each_knob_arms_the_plan(self):
-        from repro.resilience.faults import ShardFaultPlan
+        from repro.resilience.faults import SweepFaultPlan
 
-        assert ShardFaultPlan(die_after_claims=1).active
-        assert ShardFaultPlan(stall_heartbeat_after=2).active
-        assert ShardFaultPlan(duplicate_claim=True).active
-        assert ShardFaultPlan(tear_segment=True).active
+        assert SweepFaultPlan(die_after_claims=1).active
+        assert SweepFaultPlan(stall_heartbeat_after=2).active
+        assert SweepFaultPlan(duplicate_claim=True).active
+        assert SweepFaultPlan(tear_segment=True).active
 
     def test_die_fires_exactly_at_the_threshold(self):
-        from repro.resilience.faults import ShardFaultPlan
+        from repro.resilience.faults import SweepFaultPlan
 
-        plan = ShardFaultPlan(die_after_claims=2)
+        plan = SweepFaultPlan(die_after_claims=2)
         assert not plan.dies_now(1)
         assert plan.dies_now(2)
         # claims=3 is unreachable in practice (the process died at 2);
@@ -166,9 +167,52 @@ class TestShardFaultPlan:
         assert not plan.dies_now(3)
 
     def test_stall_fires_at_the_threshold(self):
-        from repro.resilience.faults import ShardFaultPlan
+        from repro.resilience.faults import SweepFaultPlan
 
-        plan = ShardFaultPlan(stall_heartbeat_after=1, stall_seconds=0.5)
+        plan = SweepFaultPlan(stall_heartbeat_after=1, stall_seconds=0.5)
         assert not plan.stalls_now(0)
         assert plan.stalls_now(1)
         assert plan.stall_seconds == 0.5
+
+
+class TestDrillParse:
+    """``SweepFaultPlan.parse`` — the one reader of ``--drill`` strings."""
+
+    @pytest.mark.parametrize("text, fields", [
+        ("crash@1", {"crash_point": 1}),
+        ("crash-always@0", {"crash_point": 0, "crash_attempts": None}),
+        ("hang@2", {"hang_point": 2}),
+        ("hang-always@0", {"hang_point": 0, "hang_attempts": None}),
+        ("fail@0", {"fail_point": 0}),
+        ("die-after-claim@2", {"die_after_claims": 2}),
+        ("stale-heartbeat", {"stall_heartbeat_after": 1}),
+        ("duplicate-claim", {"duplicate_claim": True}),
+        ("torn-segment", {"tear_segment": True}),
+    ])
+    def test_each_kind_builds_its_triggers(self, text, fields):
+        from repro.resilience.faults import SweepFaultPlan
+
+        plan = SweepFaultPlan.parse(text)
+        assert plan == SweepFaultPlan(**fields)
+        assert plan.active
+        assert plan.claims_armed == ("claim" in text or "heartbeat" in text
+                                     or "segment" in text)
+
+    def test_table_covers_every_kind(self):
+        from repro.resilience.faults import SWEEP_DRILLS
+
+        assert set(SWEEP_DRILLS) == {
+            "crash", "crash-always", "hang", "hang-always", "fail",
+            "die-after-claim", "stale-heartbeat", "duplicate-claim",
+            "torn-segment",
+        }
+
+    @pytest.mark.parametrize("text", [
+        "crash", "crash@", "crash@x", "crash@-1", "die-after-claim@0",
+        "duplicate-claim@0", "bogus@1",
+    ])
+    def test_nonsense_raises(self, text):
+        from repro.resilience.faults import SweepFaultPlan
+
+        with pytest.raises(ValueError):
+            SweepFaultPlan.parse(text)

@@ -1,10 +1,16 @@
 """The top-level command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -135,3 +141,41 @@ class TestExperimentReportJson:
         (report,) = doc["reports"]
         assert report["exit_code"] == 0
         assert report["counts"]["ok"] == report["total"]
+
+
+class TestSweepFlagValidation:
+    def test_timeout_with_shard_dir_is_a_parser_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-worker", "fig12", "--shard-dir",
+                  str(tmp_path / "ns"), "--timeout", "5"])
+        assert exc.value.code == 2
+        assert "--timeout has no effect with --shard-dir" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "ns").exists()
+
+    def test_claim_drill_without_shard_dir_is_a_parser_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig12", "--drill", "die-after-claim@1"])
+        assert exc.value.code == 2
+        assert "requires --shard-dir" in capsys.readouterr().err
+
+    def test_bad_drill_is_a_parser_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig12", "--drill", "crash@x"])
+        assert exc.value.code == 2
+        assert "--drill" in capsys.readouterr().err
+
+    def test_launcher_drills_its_first_child_only(self, tmp_path):
+        # The drilled child dies holding a lease; the launcher itself must
+        # survive, steal the orphaned point and finish the sweep.  Run in
+        # a subprocess: a drilled launcher would SIGKILL the test runner.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "fig12",
+             "--shard-dir", str(tmp_path / "ns"), "--workers", "2",
+             "--lease-ttl", "1", "--drill", "die-after-claim@1"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(_SRC), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "stolen=1" in proc.stderr
