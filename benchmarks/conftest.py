@@ -9,9 +9,15 @@ shape assertions inside each benchmark are the reproduction criteria
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
+
+# The ablations compare against the test-only oracles in tests/oracle.py.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

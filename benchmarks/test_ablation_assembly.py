@@ -1,8 +1,8 @@
 """Ablation: vectorized operator assembly vs the pure-Python reference.
 
-The design decision under test (ISSUE 3 tentpole): level operators are
-assembled from precomputed automaton tables with whole-level numpy
-batches, not per-state Python loops.  Both backends must produce
+The design decision under test: level operators are assembled from
+precomputed automaton tables with whole-level numpy batches, not the
+per-state Python loops of ``tests/oracle.py``.  Both must produce
 bit-identical operators on the figure specs; the benchmark quantifies the
 assembly speedup on the fig04-class workload (K=8, D(8)=285).
 """
@@ -14,6 +14,7 @@ from repro.clusters import central_cluster
 from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.experiments.params import BASE_APP
+from tests.oracle import ReferenceModel
 
 K = 8
 
@@ -23,7 +24,8 @@ def _spec():
 
 
 def _build_all(assembly: str) -> TransientModel:
-    model = TransientModel(_spec(), K, assembly=assembly)
+    cls = ReferenceModel if assembly == "reference" else TransientModel
+    model = cls(_spec(), K)
     for k in range(1, K + 1):
         model.level(k)
     return model

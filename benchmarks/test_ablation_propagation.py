@@ -1,11 +1,12 @@
 """Ablation: cached Y·R propagators vs the per-epoch solve recurrence.
 
-The design decision under test (ISSUE 4 tentpole): each refill epoch is
-one gemv against a cached ``Y_K R_K`` propagator (built once per level by
-a blocked multi-RHS solve), instead of an LU triangular solve plus two
-sparse products per epoch.  Both backends must agree to ≤1e-12 on every
-figure-class workload; the benchmark quantifies the per-epoch win on the
-fig03- and fig04-class configurations and the H2 mixes swept by Fig. 3.
+The design decision under test: each refill epoch is one gemv against a
+cached ``Y_K R_K`` propagator (built once per level by a blocked
+multi-RHS solve), instead of an LU triangular solve plus two sparse
+products per epoch (the solve oracle of ``tests/oracle.py``).  Both must
+agree to ≤1e-12 on every figure-class workload; the benchmark quantifies
+the per-epoch win on the fig03- and fig04-class configurations and the
+H2 mixes swept by Fig. 3.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.clusters import central_cluster
 from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.experiments.params import BASE_APP
+from tests import oracle
 
 #: (name, K, N) of the two headline workloads tracked in BENCH_transient.json
 WORKLOADS = [("fig03_class", 5, 30), ("fig04_class", 8, 60)]
@@ -24,8 +26,12 @@ def _spec(scv: float = 10.0):
     return central_cluster(BASE_APP, {"rdisk": Shape.scv(scv)})
 
 
-def _solve(propagation: str, K: int, N: int, scv: float = 10.0) -> np.ndarray:
-    return TransientModel(_spec(scv), K, propagation=propagation).interdeparture_times(N)
+def _solve(engine: str, K: int, N: int, scv: float = 10.0) -> np.ndarray:
+    """``engine`` is the model's default ("propagator") or the "solve" oracle."""
+    model = TransientModel(_spec(scv), K)
+    if engine == "solve":
+        return oracle.interdeparture_times(model, N)
+    return model.interdeparture_times(N)
 
 
 @pytest.mark.benchmark(group="propagation-fig03")

@@ -129,7 +129,6 @@ def _resilience_config(args):
             max_seconds=args.max_seconds,
             max_epochs=args.max_epochs,
         ),
-        propagation=getattr(args, "propagation", None) or "propagator",
     )
 
 
@@ -147,15 +146,6 @@ def _add_robust_args(sub) -> None:
     sub.add_argument("--max-epochs", type=int, default=None,
                      help="exactly-iterated epoch cap; larger workloads "
                           "degrade to the O(K) approximation (robust mode)")
-    sub.add_argument("--propagation",
-                     choices=("propagator", "solve", "spectral"),
-                     default=None,
-                     help="epoch-propagation backend: 'propagator' "
-                          "(default; cached-gemv), 'solve' (historical "
-                          "bit-exact path), 'spectral' (closed-form "
-                          "eigendecomposition — refill cost independent "
-                          "of N, auto-downgrades with a reason code when "
-                          "ill-conditioned)")
 
 
 def _cmd_report(args) -> int:
@@ -259,8 +249,6 @@ def _experiment_argv(args) -> list:
         argv += ["--lease-ttl", str(args.lease_ttl)]
     if args.report_json:
         argv += ["--report-json", args.report_json]
-    if getattr(args, "propagation", None):
-        argv += ["--propagation", args.propagation]
     if args.checkpoint_gc:
         argv.append("--checkpoint-gc")
     if args.trace:
@@ -459,7 +447,7 @@ def _cmd_profile(args) -> int:
         repeats=args.repeats,
         name=name,
         resilience=resilience,
-        propagation=getattr(args, "propagation", None) or "propagator",
+        propagation=args.propagation,
     )
     print(result.format_table())
     for path in result.write_artifacts(
@@ -649,6 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--bench-out", metavar="PATH",
                     default="BENCH_transient.json")
     _add_robust_args(pf)
+    pf.add_argument("--propagation", choices=("propagator", "spectral"),
+                    default="propagator",
+                    help="epoch engine of the profiled model: 'propagator' "
+                         "(default; cached gemv) or 'spectral' (closed-form "
+                         "eigendecomposition — refill cost independent of "
+                         "N); ignored with --robust")
     pf.set_defaults(func=_cmd_profile)
 
     from repro.serve.cache import DEFAULT_CACHE_BYTES

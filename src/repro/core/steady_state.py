@@ -54,11 +54,9 @@ def solve_steady_state(
     """Stationary mix of ``Y_K R_K`` by matrix-free power iteration.
 
     The iteration starts from the filling vector ``p_K``, which is already
-    close to stationarity in lightly-loaded systems.  Under the model's
-    default ``propagation="propagator"`` (and ``"spectral"``, whose
-    decomposition serves epoch jumps, not this fixed point) each step is
-    one gemv against the cached ``Y_K R_K`` matrix; under ``"solve"`` it
-    is one sparse triangular solve plus two sparse products.
+    close to stationarity in lightly-loaded systems.  Each step is the
+    top level's ``step_YR``: one gemv against the cached ``Y_K R_K``
+    matrix, or an LU solve on a level above the dense cap.
 
     Raises
     ------
@@ -69,10 +67,9 @@ def solve_steady_state(
     """
     top = model.level(model.K)
     x0 = model.entrance_vector(model.K)
-    step = top.apply_YR if model.propagation == "solve" else top.step_YR
     try:
         p_ss = stationary_left_vector(
-            step, top.dim, x0=x0, tol=tol, max_iter=max_iter
+            top.step_YR, top.dim, x0=x0, tol=tol, max_iter=max_iter
         )
     except ConvergenceError as exc:
         raise ConvergenceError(

@@ -19,13 +19,12 @@ draining) of the paper's Figures 3–4 and 10–11.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.laqt.automata import automaton_for
-from repro.laqt.operators import LevelOperators, build_level, build_level_reference
+from repro.laqt.operators import LevelOperators, build_level
 from repro.laqt.states import build_spaces
 from repro.network.spec import NetworkSpec
 from repro.obs import runtime as _rt
@@ -67,18 +66,11 @@ class TransientModel:
         optional tracer/metrics.  Missing parts fall through to the
         ambient instrumentation (:mod:`repro.obs.runtime`); ``None``
         (the default) costs nothing and leaves results bit-identical.
-    assembly:
-        Operator-assembly backend: ``"vectorized"`` (the default; table-
-        driven numpy batches) or ``"reference"`` (the historical
-        per-state Python loops, kept for equivalence tests and
-        ablations).  Both produce the same operators — bit-identical
-        whenever every local state has at most one event.
     propagation:
-        Epoch-propagation backend: ``"propagator"`` (the default) caches
-        the explicit ``Y_k R_k`` / ``Y_k`` matrices once per level
-        (blocked multi-column solve) so every epoch is one gemv;
-        ``"solve"`` is the bit-exact historical path that re-runs the
-        transposed triangular solve each epoch; ``"spectral"``
+        Epoch engine: ``"propagator"`` (the default) caches the explicit
+        ``Y_k R_k`` / ``Y_k`` matrices once per level below the dense cap
+        (blocked multi-column solve) so every epoch is one gemv, and
+        steps a level above the cap through its LU; ``"spectral"``
         eigendecomposes ``Y_K R_K`` once per model (paper §5: the refill
         recurrence is a power iteration) and evaluates any epoch — and
         the refill portion of the makespan, as a geometric series over
@@ -87,35 +79,23 @@ class TransientModel:
         residual, LAPACK failure, CSR-only propagator) downgrades
         stickily to ``"propagator"`` with a reason-coded
         :class:`~repro.resilience.errors.SpectralFallbackError` recorded
-        on :attr:`spectral_fallback` — never a wrong answer.  All modes
-        agree to ≤1e-10 on the paper workloads; equivalence is pinned in
-        ``benchmarks/test_ablation_propagation.py`` /
-        ``benchmarks/test_ablation_spectral.py``.
+        on :attr:`spectral_fallback` — never a wrong answer.  Both
+        engines agree with the per-epoch solve recurrence of
+        ``tests/oracle.py`` to ≤1e-10 in the returned times.
 
     Notes
     -----
     Construction cost is dominated by assembling the ``K`` sparse operator
     levels; each is cached, and the per-epoch work afterwards is one gemv
-    against the cached propagator (or two sparse solves under
-    ``propagation="solve"``) regardless of ``N``.
-
-    The attribute :attr:`epoch_hook` is a **deprecated** alias for the
-    per-epoch callback — assigning it still works (the resilience layer
-    of earlier releases did), but new code should pass ``instrument=``.
+    against the cached propagator regardless of ``N``.
     """
 
     # Alternative backends construct without this __init__; class-level
     # defaults keep the instrumentation surface well-defined for them.
     _instrument: Instrumentation | None = None
-    _epoch_hook: Callable[[int, int, np.ndarray], None] | None = None
-    _assembly: str = "vectorized"
     _propagation: str = "propagator"
 
-    _ASSEMBLY_BACKENDS = {
-        "vectorized": build_level,
-        "reference": build_level_reference,
-    }
-    _PROPAGATION_MODES = ("propagator", "solve", "spectral")
+    _PROPAGATION_MODES = ("propagator", "spectral")
 
     # Sticky spectral downgrade (set once, first time the engine declines).
     _spectral_fallback: SpectralFallbackError | None = None
@@ -128,16 +108,10 @@ class TransientModel:
         guards: "GuardConfig | None" = None,
         budget: "Budget | None" = None,
         instrument: Instrumentation | Callable[[int, int, np.ndarray], None] | None = None,
-        assembly: str = "vectorized",
         propagation: str = "propagator",
     ):
         if K < 1 or int(K) != K:
             raise ValueError(f"K must be a positive integer, got {K!r}")
-        if assembly not in self._ASSEMBLY_BACKENDS:
-            raise ValueError(
-                f"assembly must be one of {sorted(self._ASSEMBLY_BACKENDS)}, "
-                f"got {assembly!r}"
-            )
         if propagation not in self._PROPAGATION_MODES:
             raise ValueError(
                 f"propagation must be one of {sorted(self._PROPAGATION_MODES)}, "
@@ -150,7 +124,6 @@ class TransientModel:
         self._spec = spec
         self._K = int(K)
         self._guards = guards
-        self._assembly = assembly
         self._propagation = propagation
         self.instrument = instrument
         self._automata = tuple(automaton_for(st) for st in spec.stations)
@@ -171,8 +144,7 @@ class TransientModel:
 
     @property
     def propagation(self) -> str:
-        """Requested epoch-propagation backend (one of
-        :data:`_PROPAGATION_MODES`)."""
+        """Requested epoch engine (one of :data:`_PROPAGATION_MODES`)."""
         return self._propagation
 
     @property
@@ -203,22 +175,6 @@ class TransientModel:
         if value is not None and not isinstance(value, Instrumentation):
             value = Instrumentation(on_epoch=value)
         self._instrument = value
-
-    @property
-    def epoch_hook(self) -> Callable[[int, int, np.ndarray], None] | None:
-        """Deprecated alias for the per-epoch callback (use ``instrument=``)."""
-        return self._epoch_hook
-
-    @epoch_hook.setter
-    def epoch_hook(self, hook: Callable[[int, int, np.ndarray], None] | None) -> None:
-        if hook is not None:
-            warnings.warn(
-                "TransientModel.epoch_hook is deprecated; pass "
-                "instrument=Instrumentation(on_epoch=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._epoch_hook = hook
 
     def _effective_instrument(self) -> Instrumentation | None:
         """Explicit bundle merged over the ambient one (either may be None)."""
@@ -255,7 +211,7 @@ class TransientModel:
 
     def _build_level(self, k: int) -> LevelOperators:
         """Operator assembly hook (overridden by alternative backends)."""
-        ops = self._ASSEMBLY_BACKENDS[self._assembly](
+        ops = build_level(
             self._automata,
             self._spec.routing,
             self._spec.exit,
@@ -323,8 +279,7 @@ class TransientModel:
             head, x, k_active, m, ins = self._spectral_refill(
                 n, eng, lambda top, x0, m: eng.epoch_times(x0, top.tau, m))
             times[:m] = head
-            self._drain_phase(m, k_active, x, visit,
-                              hook=None, ins=ins, fast=True)
+            self._drain_phase(m, k_active, x, visit, hook=None, ins=ins)
             return times
 
         self._epoch_recurrence(n, visit, observe=True)
@@ -375,19 +330,15 @@ class TransientModel:
         k_active = min(self._K, N)
         top = self.level(k_active)
         x = self.entrance_vector(k_active)
-        fast = self._propagation != "solve"
-        hook = self._epoch_hook if observe else None
         ins = self._effective_instrument() if observe else None
-        if ins is not None:
-            if ins.on_epoch is not None:
-                hook = self._chain_hooks(hook, ins.on_epoch)
-            if ins.tracer is None and ins.metrics is None:
-                # Callback-only bundle: folded into the hook path above,
-                # keeping the loop free of dead span/metric branches.
-                ins = None
+        hook = ins.on_epoch if ins is not None else None
+        if ins is not None and ins.tracer is None and ins.metrics is None:
+            # Callback-only bundle: folded into the hook path above,
+            # keeping the loop free of dead span/metric branches.
+            ins = None
         eng = self._spectral_engine(top) if N > k_active else None
         x0 = x
-        step_refill = top.step_YR if fast else top.apply_YR
+        step_refill = top.step_YR
         for j in range(N - k_active):
             if hook is not None:
                 hook(j, k_active, self._frozen_view(x))
@@ -412,8 +363,7 @@ class TransientModel:
                     eng.gap if eng is not None
                     else float(np.max(np.abs(x - x_prev))),
                 )
-        self._drain_phase(N - k_active, k_active, x, visit,
-                          hook=hook, ins=ins, fast=fast)
+        self._drain_phase(N - k_active, k_active, x, visit, hook=hook, ins=ins)
 
     def _drain_phase(
         self,
@@ -424,15 +374,13 @@ class TransientModel:
         *,
         hook,
         ins: Instrumentation | None,
-        fast: bool,
     ) -> None:
         """Drain cascade ``Y_K, Y_{K−1}, …, Y_1`` (§4.1 Case 1).
 
         The drain operators are rectangular (``D(k) × D(k−1)``) so they
-        have no spectral form; every propagation mode drains through the
-        cached-propagator gemvs (``fast=True``) or the historical solves.
-        Shared by the stepped recurrence and the spectral bulk paths so
-        the two cannot drift.
+        have no spectral form; every engine drains through each level's
+        ``step_Y``.  Shared by the stepped recurrence and the spectral bulk
+        paths so the two cannot drift.
         """
         for k in range(k_active, 0, -1):
             if hook is not None:
@@ -441,12 +389,12 @@ class TransientModel:
             if ins is None:
                 visit(at, k, ops, x)
                 if k > 1:
-                    x = ops.step_Y(x) if fast else ops.apply_Y(x)
+                    x = ops.step_Y(x)
             else:
                 with ins.span("epoch", epoch=at, level=k, phase="drain") as sp:
                     visit(at, k, ops, x)
                     if k > 1:
-                        x = ops.step_Y(x) if fast else ops.apply_Y(x)
+                        x = ops.step_Y(x)
                 self._epoch_metrics(ins, sp)
             at += 1
 
@@ -486,15 +434,15 @@ class TransientModel:
 
         The bulk path collapses the whole refill phase into one
         vectorized evaluation, so it only engages when nothing observes
-        individual refill epochs: no deprecated ``epoch_hook`` and no
-        ``on_epoch`` callback (the resilience budget clock arms one —
-        such solves take the stepped spectral path, which checks budgets
-        every epoch and returns identical vectors).
+        individual refill epochs: no ``on_epoch`` callback (the
+        resilience budget clock arms one — such solves take the stepped
+        spectral path, which checks budgets every epoch and returns
+        identical vectors).
         """
         if self._propagation != "spectral":
             return None
         k_active = min(self._K, n)
-        if n <= k_active or self._epoch_hook is not None:
+        if n <= k_active:
             return None
         ins = self._effective_instrument()
         if ins is not None and ins.on_epoch is not None:
@@ -530,17 +478,6 @@ class TransientModel:
         return value, x, k_active, m, ins
 
     @staticmethod
-    def _chain_hooks(first, second):
-        if first is None:
-            return second
-
-        def chained(j: int, k: int, x: np.ndarray, _a=first, _b=second) -> None:
-            _a(j, k, x)
-            _b(j, k, x)
-
-        return chained
-
-    @staticmethod
     def _epoch_metrics(ins: Instrumentation, sp) -> None:
         ins.count("repro_epochs_solved_total")
         if sp is not None and sp.wall is not None:
@@ -570,7 +507,7 @@ class TransientModel:
         def visit(j: int, k: int, ops, xx: np.ndarray) -> None:
             drain[j - m] = ops.mean_epoch_time(xx)
 
-        self._drain_phase(m, k_active, x, visit, hook=None, ins=ins, fast=True)
+        self._drain_phase(m, k_active, x, visit, hook=None, ins=ins)
         return float(total + drain.sum())
 
     def epoch_vectors(self, N: int) -> list[np.ndarray]:
@@ -594,7 +531,7 @@ class TransientModel:
 
         Equal to ``epoch_vectors(N)[index]`` without materializing the
         other ``N − 1`` vectors: the spectral engine jumps straight to
-        ``p (Y_K R_K)^index`` (O(1) in ``N``), the gemv/solve paths stop
+        ``p (Y_K R_K)^index`` (O(1) in ``N``), the stepped path stops
         the recurrence at the requested epoch (O(index)), and a drain
         epoch only steps the partial ``Y_k`` cascade past the refill end.
         """
@@ -606,20 +543,17 @@ class TransientModel:
         refill = n - k_active
         top = self.level(k_active)
         x = self.entrance_vector(k_active)
-        fast = self._propagation != "solve"
         eng = self._spectral_engine(top) if refill else None
         steps = min(index, refill)
         if steps:
             if eng is not None:
                 x = eng.propagate(x, steps)
             else:
-                step = top.step_YR if fast else top.apply_YR
                 for _ in range(steps):
-                    x = step(x)
+                    x = top.step_YR(x)
         # Partial drain cascade: epoch refill + d starts after Y_{K} … Y_{K−d+1}.
         for k in range(k_active, k_active - (index - steps), -1):
-            ops = self.level(k)
-            x = ops.step_Y(x) if fast else ops.apply_Y(x)
+            x = self.level(k).step_Y(x)
         return x
 
     # -- cache-extraction surface (repro.serve) ------------------------

@@ -119,14 +119,6 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="write every sweep report (per-point status, attempts, "
              "shard provenance) as JSON")
     parser.add_argument(
-        "--propagation", choices=("propagator", "solve", "spectral"),
-        default=None,
-        help="epoch-propagation backend for every swept model: "
-             "'propagator' (default; cached-gemv), 'solve' (historical "
-             "bit-exact path), 'spectral' (closed-form eigendecomposition "
-             "of Y_K R_K — refill cost independent of N, auto-downgrades "
-             "to 'propagator' when ill-conditioned)")
-    parser.add_argument(
         "--checkpoint-gc", action="store_true",
         help="compact the journal (--checkpoint-dir) and/or shard "
              "namespace (--shard-dir) down to one record per point, "
@@ -183,7 +175,6 @@ def executor_from_args(
             worker_id=getattr(args, "worker_id", None),
             retry=retry,
             faults=None if launcher else faults,
-            propagation=getattr(args, "propagation", None),
             **kwargs,
         )
     journal = None
@@ -198,7 +189,6 @@ def executor_from_args(
         journal=journal,
         resume=args.resume,
         faults=faults,
-        propagation=getattr(args, "propagation", None),
     )
 
 

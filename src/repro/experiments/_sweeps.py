@@ -77,15 +77,6 @@ def _executor(executor: SweepExecutor | None, jobs: int) -> SweepExecutor:
     return executor if executor is not None else SweepExecutor(jobs)
 
 
-def _propagation(ex) -> str:
-    """The executor's epoch-propagation backend (model default when unset).
-
-    Threaded into every point-call tuple so pool workers (which rebuild
-    nothing but the tuple's arguments) honour ``--propagation`` too.
-    """
-    return getattr(ex, "propagation", None) or "propagator"
-
-
 def shape_for_scv(scv: float) -> Shape:
     """The paper's distribution choice for a C² value.
 
@@ -105,8 +96,7 @@ def _series_label(scv: float) -> str:
 
 
 def _swept_model(kind: str, role: str, K: int, scv: float,
-                 app: ApplicationModel,
-                 propagation: str = "propagator") -> TransientModel:
+                 app: ApplicationModel) -> TransientModel:
     """The one model a sweep point owns (levels/propagators built once).
 
     When a :class:`~repro.serve.cache.ModelCache` is ambient (a
@@ -120,27 +110,23 @@ def _swept_model(kind: str, role: str, K: int, scv: float,
 
     cache = ambient_cache()
     if cache is not None:
-        return cache.get_or_build(spec, K, propagation=propagation)
-    return TransientModel(spec, K, propagation=propagation)
+        return cache.get_or_build(spec, K)
+    return TransientModel(spec, K)
 
 
 # -- module-level point functions (picklable across the process pool) ---
 def _point_interdeparture(
     kind: str, role: str, K: int, N: int, scv: float, app: ApplicationModel,
-    propagation: str = "propagator",
 ) -> np.ndarray:
-    return _swept_model(kind, role, K, scv, app, propagation).interdeparture_times(N)
+    return _swept_model(kind, role, K, scv, app).interdeparture_times(N)
 
 
 def _point_steady_scv(
     K: int, scv: float, heavy_app: ApplicationModel, light_app: ApplicationModel,
-    propagation: str = "propagator",
 ) -> tuple[float, float]:
     shapes = {"rdisk": shape_for_scv(scv)}
-    heavy = TransientModel(central_cluster(heavy_app, shapes), K,
-                           propagation=propagation)
-    light = TransientModel(central_cluster(light_app, shapes), K,
-                           propagation=propagation)
+    heavy = TransientModel(central_cluster(heavy_app, shapes), K)
+    light = TransientModel(central_cluster(light_app, shapes), K)
     return (
         solve_steady_state(heavy).interdeparture_time,
         solve_steady_state(light).interdeparture_time,
@@ -149,12 +135,11 @@ def _point_steady_scv(
 
 def _point_prediction_error(
     kind: str, role: str, K: int, Ns: tuple, scv: float, app: ApplicationModel,
-    propagation: str = "propagator",
 ) -> np.ndarray:
     station = _SWEEP_STATION[(kind, role)]
     spec = build_cluster(kind, app, K, {station: shape_for_scv(scv)})
-    actual = TransientModel(spec, K, propagation=propagation)
-    expo = TransientModel(exponential_twin(spec), K, propagation=propagation)
+    actual = TransientModel(spec, K)
+    expo = TransientModel(exponential_twin(spec), K)
     return np.array(
         [prediction_error(actual.makespan(N), expo.makespan(N)) for N in Ns]
     )
@@ -162,15 +147,13 @@ def _point_prediction_error(
 
 def _point_speedup_scv(
     kind: str, role: str, K: int, Ns: tuple, scv: float, app: ApplicationModel,
-    propagation: str = "propagator",
 ) -> np.ndarray:
-    model = _swept_model(kind, role, K, scv, app, propagation)
+    model = _swept_model(kind, role, K, scv, app)
     return np.array([speedup(model, N) for N in Ns])
 
 
 def _point_speedup_k(
     K: int, curve_items: tuple, app: ApplicationModel,
-    propagation: str = "propagator",
 ) -> np.ndarray:
     # One model per distinct CPU shape, shared by every curve (different N)
     # that uses it.
@@ -180,7 +163,7 @@ def _point_speedup_k(
         key = shape.name + repr(sorted(shape.params.items()))
         if key not in models:
             spec = central_cluster(app, {"cpu": shape})
-            models[key] = TransientModel(spec, int(K), propagation=propagation)
+            models[key] = TransientModel(spec, int(K))
         vals[i] = speedup(models[key], N)
     return vals
 
@@ -203,7 +186,7 @@ def interdeparture_experiment(
     ex = _executor(executor, jobs)
     rows = ex.map(
         _point_interdeparture,
-        [(kind, role, K, N, scv, app, _propagation(ex)) for scv in scvs],
+        [(kind, role, K, N, scv, app) for scv in scvs],
         label=experiment,
     )
     series = {_series_label(scv): row for scv, row in zip(scvs, rows)}
@@ -235,7 +218,7 @@ def steady_state_scv_experiment(
     ex = _executor(executor, jobs)
     pairs = ex.map(
         _point_steady_scv,
-        [(K, float(scv), heavy_app, light_app, _propagation(ex))
+        [(K, float(scv), heavy_app, light_app)
          for scv in scvs],
         label=experiment,
     )
@@ -277,7 +260,7 @@ def prediction_error_experiment(
     ex = _executor(executor, jobs)
     cols = ex.map(
         _point_prediction_error,
-        [(kind, role, K, Ns, float(scv), app, _propagation(ex))
+        [(kind, role, K, Ns, float(scv), app)
          for scv in scvs],
         label=experiment,
     )
@@ -315,7 +298,7 @@ def speedup_scv_experiment(
     ex = _executor(executor, jobs)
     cols = ex.map(
         _point_speedup_scv,
-        [(kind, role, K, Ns, float(scv), app, _propagation(ex))
+        [(kind, role, K, Ns, float(scv), app)
          for scv in scvs],
         label=experiment,
     )
@@ -355,7 +338,7 @@ def speedup_vs_k_experiment(
     ex = _executor(executor, jobs)
     rows = ex.map(
         _point_speedup_k,
-        [(int(K), curve_items, app, _propagation(ex)) for K in Ks],
+        [(int(K), curve_items, app) for K in Ks],
         label=experiment,
     )
     series = {

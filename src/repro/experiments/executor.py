@@ -502,7 +502,6 @@ class SweepExecutor:
         journal=None,
         resume: bool = False,
         faults: SweepFaultPlan | None = None,
-        propagation: str | None = None,
         model_cache=None,
     ):
         if jobs < 1 or int(jobs) != jobs:
@@ -515,9 +514,6 @@ class SweepExecutor:
         self.journal = journal
         self.resume = bool(resume)
         self.faults = faults
-        #: epoch-propagation backend the figure sweeps hand to every
-        #: swept model (None = the model default, "propagator")
-        self.propagation = propagation
         #: optional :class:`~repro.serve.cache.ModelCache` made ambient
         #: around every inline point, so sweep points that build their
         #: model through :func:`repro.experiments._sweeps._swept_model`

@@ -348,7 +348,6 @@ class ShardExecutor:
         retry: RetryPolicy | None = None,
         faults: SweepFaultPlan | None = None,
         version: str | None = None,
-        propagation: str | None = None,
     ):
         if not lease_ttl > 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl!r}")
@@ -362,8 +361,6 @@ class ShardExecutor:
         self.poll = float(poll)
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults if faults is not None else SweepFaultPlan()
-        #: epoch-propagation backend handed to every swept model
-        self.propagation = propagation
         #: report of the most recent :meth:`map` (None before the first)
         self.report: SweepReport | None = None
         #: reports of every :meth:`map` on this executor, oldest first

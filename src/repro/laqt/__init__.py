@@ -22,9 +22,7 @@ from repro.laqt.automata import (
 from repro.laqt.operators import (
     LevelOperators,
     build_entrance,
-    build_entrance_reference,
     build_level,
-    build_level_reference,
 )
 
 __all__ = [
@@ -41,6 +39,4 @@ __all__ = [
     "LevelOperators",
     "build_level",
     "build_entrance",
-    "build_level_reference",
-    "build_entrance_reference",
 ]

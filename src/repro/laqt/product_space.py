@@ -81,9 +81,10 @@ class FullProductModel(TransientModel):
 
     Same public interface as :class:`TransientModel` — including the
     ``budget=`` and ``instrument=`` keywords — with exponentially more
-    states (``M^k`` per level instead of ``C(M+k−1, k)``).  The solve
-    guards (``guards=``) are not supported: they diagnose failures through
-    the reduced-space automata, which this backend does not build.
+    states (``M^k`` per level instead of ``C(M+k−1, k)``).  It always runs
+    the default epoch engine.  The solve guards (``guards=``) are not
+    supported: they diagnose failures through the reduced-space automata,
+    which this backend does not build.
     """
 
     def __init__(
@@ -94,7 +95,6 @@ class FullProductModel(TransientModel):
         guards: "GuardConfig | None" = None,
         budget: "Budget | None" = None,
         instrument: Instrumentation | Callable[[int, int, np.ndarray], None] | None = None,
-        propagation: str = "propagator",
     ):
         for st in spec.stations:
             if st.dist.n_stages != 1:
@@ -119,15 +119,9 @@ class FullProductModel(TransientModel):
                 budget,
                 dims=[spec.n_stations**k for k in range(int(K) + 1)],
             )
-        if propagation not in self._PROPAGATION_MODES:
-            raise ValueError(
-                f"propagation must be one of {sorted(self._PROPAGATION_MODES)}, "
-                f"got {propagation!r}"
-            )
         self._spec = spec
         self._K = int(K)
         self._guards = None
-        self._propagation = propagation
         self.instrument = instrument
         self._automata = ()  # unused by this backend
         self._spaces = [_FullSpace(spec.n_stations, k) for k in range(self._K + 1)]

@@ -10,8 +10,7 @@ sites never branch on the bundle's internals.
 
 Two ways to arm it:
 
-* explicitly — ``TransientModel(spec, K, instrument=ins)`` (the typed
-  replacement for the deprecated ``epoch_hook`` attribute);
+* explicitly — ``TransientModel(spec, K, instrument=ins)``;
 * ambiently — ``with ins.activate(): ...`` makes ``ins`` the process-local
   active instrumentation (see :mod:`repro.obs.runtime`), which every
   wired layer (operators, guards, ladder, simulation) consults.
@@ -37,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EpochCallback", "Instrumentation", "profiled"]
 
 #: Typed per-epoch callback: ``(epoch_index, level_k, state_vector)``.
-#: Invoked *before* each epoch's work, mirroring the legacy ``epoch_hook``
-#: contract the resilience wall-clock budget relies on.
+#: Invoked *before* each epoch's work — the contract the resilience
+#: wall-clock budget relies on.
 EpochCallback = Callable[[int, int, "np.ndarray"], None]
 
 _NULL_CONTEXT = nullcontext()

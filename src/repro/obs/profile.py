@@ -237,8 +237,9 @@ def profile_spec(
     :class:`~repro.resilience.fallback.ResilienceConfig`), each repeat
     runs through the degradation ladder instead of the plain model, so
     rung attempts and guard trips show up in the trace and metrics.
-    ``propagation`` selects the epoch backend of the profiled model
-    (ignored when ``resilience`` carries its own).
+    ``propagation`` selects the epoch engine of the plain model
+    (``"propagator"`` or ``"spectral"``); the ladder under
+    ``resilience`` always runs the model's default engine.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
@@ -273,9 +274,7 @@ def profile_spec(
         instrumentation=ins,
         meta={
             "resilient": resilience is not None,
-            "propagation": (
-                resilience.propagation if resilience is not None else propagation
-            ),
+            "propagation": "propagator" if resilience is not None else propagation,
         },
     )
 

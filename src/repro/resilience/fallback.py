@@ -78,12 +78,6 @@ class ResilienceConfig:
         memory beyond this is worse than the disease).
     head_epochs:
         Exact warm-up epochs used by the approximation rung.
-    propagation:
-        Epoch-propagation backend handed to the underlying
-        :class:`~repro.core.transient.TransientModel`.  A ``"spectral"``
-        engine that declines shows up in the report's attempt trail as a
-        reason-coded ``spectral`` line (informational — the winning rung
-        is unaffected, the gemv path answered).
     """
 
     guards: GuardConfig = field(default_factory=GuardConfig)
@@ -92,18 +86,11 @@ class ResilienceConfig:
     ladder: tuple[str, ...] = LADDER
     dense_dim_cap: int = 2048
     head_epochs: int = 8
-    propagation: str = "propagator"
 
     def __post_init__(self):
         bad = [r for r in self.ladder if r not in LADDER]
         if bad:
             raise ValueError(f"unknown ladder rungs {bad!r}; valid: {LADDER}")
-        if self.propagation not in TransientModel._PROPAGATION_MODES:
-            raise ValueError(
-                f"propagation must be one of "
-                f"{sorted(TransientModel._PROPAGATION_MODES)}, "
-                f"got {self.propagation!r}"
-            )
 
 
 @dataclass
@@ -183,8 +170,6 @@ class _RungModel(TransientModel):
         self._levels = {}
         self._entrance = {}
         self._instrument = None
-        self._epoch_hook = None
-        self._propagation = base.propagation
         self._rbase = base
         self._rcfg = cfg
         self._rmode = mode
@@ -206,7 +191,6 @@ class ResilientSolver:
         self._K = int(K)
         self._cfg = config if config is not None else ResilienceConfig()
         self._base: TransientModel | None = None
-        self._spectral_note = None
 
     # ------------------------------------------------------------------
     @property
@@ -222,9 +206,7 @@ class ResilientSolver:
 
     def _base_model(self) -> TransientModel:
         if self._base is None:
-            self._base = TransientModel(
-                self._spec, self._K, propagation=self._cfg.propagation
-            )
+            self._base = TransientModel(self._spec, self._K)
         return self._base
 
     def _rung_model(self, mode: str) -> _RungModel:
@@ -284,11 +266,7 @@ class ResilientSolver:
         model.instrument = Instrumentation(
             on_epoch=lambda j, k, x: clock.check(f"{mode} epoch {j}")
         )
-        times = model.interdeparture_times(N)
-        # Surface a sticky spectral downgrade on the *winning* rung's model
-        # so the report can show the reason-coded attempt line.
-        self._spectral_note = model.spectral_fallback
-        return times
+        return model.interdeparture_times(N)
 
     def _run_approximation(
         self, N: int, budget: Budget, clock: BudgetClock
@@ -347,7 +325,6 @@ class ResilientSolver:
     def solve(self, N: int) -> ResilientResult:
         """Produce epoch times + makespan by the highest rung that works."""
         N = TransientModel._validate_N(N)
-        self._spectral_note = None
         budget = self._effective_budget()
         clock = budget.start_clock()
         attempts: list[RungAttempt] = []
@@ -423,14 +400,6 @@ class ResilientSolver:
             predicted_dims=predicted,
             elapsed=clock.elapsed,
         )
-        if self._spectral_note is not None:
-            # Informational trail entry (after degraded/reason are fixed):
-            # the requested spectral engine declined and the winning rung
-            # answered through the gemv path — reason-coded, never silent.
-            report.attempts.append(RungAttempt(
-                "spectral", False, self._spectral_note.reason,
-                str(self._spectral_note),
-            ))
         return ResilientResult(
             interdeparture_times=times,
             makespan=float(times.sum()),

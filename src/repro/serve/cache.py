@@ -1,7 +1,7 @@
 """Content-addressed LRU cache of built :class:`TransientModel`\\ s.
 
 A model is addressed by a SHA-256 over the canonical rendering of
-``(spec, K, assembly, propagation, package version)`` — the same
+``(spec, K, package version)`` — the same
 host-independent scheme :func:`repro.experiments.journal.fingerprint_point`
 uses for sweep checkpoints (floats by IEEE-754 hex, dataclasses by sorted
 fields, no ``repr`` ambiguity, no hash randomization).  Two processes on
@@ -11,9 +11,9 @@ a stale model.
 
 The cache holds the models themselves — factorized levels, cached dense
 ``Y_k``/``Y_K R_K`` propagators of the levels under the dense cap (the
-levels above it keep only their LU), spectral decompositions, entrance
-vectors — so a warm hit skips straight to the epoch recurrence.  Eviction
-is by resident **bytes**, not entry count: every entry is re-measured
+levels above it keep only their LU), entrance vectors — so a warm hit
+skips straight to the epoch recurrence.  Eviction is by resident
+**bytes**, not entry count: every entry is re-measured
 through the solver's own cache-extraction surface
 (:meth:`~repro.core.transient.TransientModel.cached_bytes`) as it warms,
 mirroring how ``dense_threshold`` caps a single propagator.  Least
@@ -68,11 +68,9 @@ def model_fingerprint(
     spec: NetworkSpec,
     K: int,
     *,
-    assembly: str = "vectorized",
-    propagation: str = "propagator",
     version: str | None = None,
 ) -> str:
-    """Stable SHA-256 key of one model: (spec, K, backends, version).
+    """Stable SHA-256 key of one model: (spec, K, version).
 
     The spec is serialized through :func:`spec_to_dict` (the wire format)
     and canonicalized by the journal's renderer, so the fingerprint is
@@ -84,7 +82,7 @@ def model_fingerprint(
         from repro import __version__ as version
     payload = json.dumps(
         [MODEL_SCHEMA, version, canonical_value(spec_to_dict(spec)),
-         int(K), assembly, propagation],
+         int(K)],
         separators=(",", ":"), sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -131,11 +129,9 @@ class ModelCache:
         spec: NetworkSpec,
         K: int,
         *,
-        assembly: str = "vectorized",
-        propagation: str = "propagator",
         fingerprint: str | None = None,
     ) -> TransientModel:
-        """The cached model for ``(spec, K, backends)``, building on miss.
+        """The cached model for ``(spec, K)``, building on miss.
 
         Raced misses on one fingerprint build **once**: the first caller
         constructs the model while the rest block on a latch and return
@@ -143,9 +139,7 @@ class ModelCache:
         and nothing is inserted.  ``fingerprint`` short-circuits the key
         derivation when the caller already computed it.
         """
-        fp = fingerprint or model_fingerprint(
-            spec, K, assembly=assembly, propagation=propagation
-        )
+        fp = fingerprint or model_fingerprint(spec, K)
         while True:
             with self._lock:
                 entry = self._entries.get(fp)
@@ -168,15 +162,13 @@ class ModelCache:
                 if pending.model is not None:
                     return pending.model
                 continue  # pragma: no cover - latch settled without result
-            return self._build(fp, spec, K, assembly, propagation, pending)
+            return self._build(fp, spec, K, pending)
 
     def _build(
         self,
         fp: str,
         spec: NetworkSpec,
         K: int,
-        assembly: str,
-        propagation: str,
         pending: _Build,
     ) -> TransientModel:
         import time
@@ -185,14 +177,10 @@ class ModelCache:
         try:
             t0 = time.perf_counter()
             if ins is None:
-                model = TransientModel(
-                    spec, K, assembly=assembly, propagation=propagation
-                )
+                model = TransientModel(spec, K)
             else:
                 with ins.span("cache_build", fingerprint=fp[:12], K=int(K)):
-                    model = TransientModel(
-                        spec, K, assembly=assembly, propagation=propagation
-                    )
+                    model = TransientModel(spec, K)
             seconds = time.perf_counter() - t0
         except BaseException as exc:
             with self._lock:
@@ -234,7 +222,7 @@ class ModelCache:
         """Re-measure one entry after use and enforce the byte budget.
 
         A model's resident bytes grow as queries warm its lazy surfaces
-        (LU factors, propagators, spectral decompositions); callers that
+        (LU factors, propagators); callers that
         just solved through a model settle it so the accounting tracks
         reality and eviction fires as soon as the budget is crossed.
         """

@@ -6,9 +6,11 @@ bounded idle between them; ``Connection: close`` honored either way).
 Endpoints:
 
 * ``POST /solve`` — body ``{"spec": {...}, "K": 8, "N": 60,
-  "metric": "makespan", "propagation": "propagator",
-  "deadline": 5.0, "robust": false}``.  ``spec`` is the JSON wire format
-  of :mod:`repro.network.serialize`.  The response carries the answer
+  "metric": "makespan", "deadline": 5.0, "robust": false}``.  ``spec``
+  is the JSON wire format of :mod:`repro.network.serialize`.  The model
+  chooses its own epoch engine: a body that still carries the removed
+  ``propagation`` field is a ``400`` naming it, never silently solved
+  by another engine.  The response carries the answer
   twice: ``value`` in the journal's bit-exact codec
   (:func:`repro.experiments.journal.encode_value` — floats as IEEE-754
   hex, arrays as base64) for byte-faithful comparison, and ``display``
@@ -154,15 +156,14 @@ def _parse_query(doc: dict) -> Query:
     except Exception as exc:
         raise _HttpError(400, f"bad query: {exc}") from exc
     metric = doc.get("metric", "makespan")
-    propagation = doc.get("propagation", "propagator")
     if metric not in METRICS:
         raise _HttpError(400, f"metric must be one of {METRICS}, "
                               f"got {metric!r}")
-    if propagation not in ("propagator", "solve", "spectral"):
-        raise _HttpError(400, f"unknown propagation {propagation!r}")
+    if "propagation" in doc:
+        raise _HttpError(400, "field 'propagation' was removed: the model "
+                              "chooses its own epoch engine")
     try:
-        return Query(spec=spec, K=K, N=N, metric=metric,
-                     propagation=propagation)
+        return Query(spec=spec, K=K, N=N, metric=metric)
     except ValueError as exc:
         raise _HttpError(400, str(exc)) from exc
 
@@ -594,13 +595,10 @@ class ServeDaemon:
                             deadline: float | None) -> tuple[int, dict]:
         """Ladder solve: 200/203/500 = rung 0/1/2 (makespan only)."""
         from repro.resilience.errors import SolverError
-        from repro.resilience.fallback import ResilienceConfig, solve_resilient
+        from repro.resilience.fallback import solve_resilient
 
         def work():
-            return solve_resilient(
-                query.spec, query.K, query.N,
-                ResilienceConfig(propagation=query.propagation),
-            )
+            return solve_resilient(query.spec, query.K, query.N)
 
         try:
             result = await self._offload(work, deadline)
@@ -634,8 +632,7 @@ class ServeDaemon:
         def work():
             return solve_resilient(
                 query.spec, query.K, query.N,
-                ResilienceConfig(ladder=ladder,
-                                 propagation=query.propagation),
+                ResilienceConfig(ladder=ladder),
             )
 
         try:

@@ -10,8 +10,7 @@ minimum number of model builds:
 2. duplicate query fingerprints are answered **once** and share the
    value;
 3. unique queries are grouped per model, so an N-sweep against one spec
-   pays a single build — under ``propagation="spectral"`` each extra
-   ``N`` is nearly free (the refill sum is closed-form);
+   pays a single build;
 4. distinct-model groups either run serially through the shared
    :class:`~repro.serve.cache.ModelCache`, or fan out across a
    :class:`~repro.experiments.executor.SweepExecutor` pool (one group
@@ -62,7 +61,6 @@ class Query:
     K: int
     N: int
     metric: str = "makespan"
-    propagation: str = "propagator"
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -71,10 +69,8 @@ class Query:
             )
 
     def model_fingerprint(self) -> str:
-        """Key of the model this query runs against (spec, K, backend)."""
-        return model_fingerprint(
-            self.spec, self.K, propagation=self.propagation
-        )
+        """Key of the model this query runs against (spec, K)."""
+        return model_fingerprint(self.spec, self.K)
 
     def fingerprint(self, model_fp: str | None = None) -> str:
         """Key of the full question: model key + metric + N."""
@@ -101,12 +97,11 @@ class Answer:
     deduped: bool = False
 
 
-def _solve_group(spec: NetworkSpec, K: int, propagation: str,
-                 items: tuple) -> list:
+def _solve_group(spec: NetworkSpec, K: int, items: tuple) -> list:
     """Pool point: build one model, answer its queries (picklable)."""
     from repro.core.transient import TransientModel
 
-    model = TransientModel(spec, int(K), propagation=propagation)
+    model = TransientModel(spec, int(K))
     return [_evaluate(model, metric, int(N)) for metric, N in items]
 
 
@@ -160,7 +155,6 @@ class SolverService:
         if executor is not None:
             calls = [
                 (queries[idxs[0]].spec, queries[idxs[0]].K,
-                 queries[idxs[0]].propagation,
                  tuple((queries[i].metric, queries[i].N) for i in idxs))
                 for idxs in groups.values()
             ]
@@ -176,10 +170,7 @@ class SolverService:
             for mfp, idxs in groups.items():
                 q0 = queries[idxs[0]]
                 warm = mfp in self.cache
-                model = self.cache.get_or_build(
-                    q0.spec, q0.K, propagation=q0.propagation,
-                    fingerprint=mfp,
-                )
+                model = self.cache.get_or_build(q0.spec, q0.K, fingerprint=mfp)
                 for i in idxs:
                     t0 = time.perf_counter()
                     value = _evaluate(model, queries[i].metric, queries[i].N)

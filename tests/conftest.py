@@ -1,9 +1,21 @@
-"""Shared fixtures: canonical applications, cluster specs and solvers."""
+"""Shared fixtures: canonical applications, cluster specs and solvers.
+
+Hypothesis runs derandomized by default, so every tier-1 run draws the
+same examples.  ``HYPOTHESIS_PROFILE=explore`` draws fresh random
+examples instead (the separate exploration CI job).
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 from repro.clusters import ApplicationModel, central_cluster, distributed_cluster
 from repro.core import TransientModel

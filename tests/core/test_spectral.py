@@ -1,12 +1,12 @@
 """Spectral epoch propagation: equivalence, fallback ladder, N validation.
 
-The spectral engine (ISSUE 8 tentpole) evaluates the refill recurrence
+The spectral engine evaluates the refill recurrence
 ``x_{i+1} = x_i (Y_K R_K)`` in closed form through one eigendecomposition
 per model.  These tests pin the three contracts that make it safe to
 select: the vectors and scalars it produces are identical (≤1e-10) to the
-gemv and solve backends; every refusal path downgrades to the propagator
-with a sticky reason code and *still returns the right answer*; and the
-``N`` validation bugs fixed alongside it stay fixed.
+solve recurrence of ``tests/oracle.py``; every refusal path downgrades to
+the propagator with a sticky reason code and *still returns the right
+answer*; and the ``N`` validation bugs fixed alongside it stay fixed.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.obs import Instrumentation
 from repro.resilience.errors import ConvergenceError, SpectralFallbackError
+from tests import oracle
 
 BASE_APP = ApplicationModel()
 
@@ -30,11 +31,11 @@ def _spec(kind: str = "h2-10"):
     return central_cluster(BASE_APP, {"rdisk": Shape.hyperexp(scv)})
 
 
-def _pair(spec, K: int, **kwargs):
-    """(spectral, solve) twin models over one spec."""
+def _pair(spec, K: int):
+    """(spectral model, default model for the solve oracle) over one spec."""
     return (
-        TransientModel(spec, K, propagation="spectral", **kwargs),
-        TransientModel(spec, K, propagation="solve", **kwargs),
+        TransientModel(spec, K, propagation="spectral"),
+        TransientModel(spec, K),
     )
 
 
@@ -45,7 +46,7 @@ class TestSpectralEquivalence:
     def test_interdeparture_times(self, kind):
         spectral, solve = _pair(_spec(kind), 5)
         a = spectral.interdeparture_times(30)
-        b = solve.interdeparture_times(30)
+        b = oracle.interdeparture_times(solve, 30)
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
         assert spectral.spectral_fallback is None
 
@@ -54,7 +55,7 @@ class TestSpectralEquivalence:
         spectral, solve = _pair(spec, 3)
         np.testing.assert_allclose(
             spectral.interdeparture_times(12),
-            solve.interdeparture_times(12),
+            oracle.interdeparture_times(solve, 12),
             rtol=0.0, atol=1e-10,
         )
 
@@ -63,13 +64,13 @@ class TestSpectralEquivalence:
         """The bulk path sums the refill as a geometric series — same total."""
         spectral, solve = _pair(_spec(kind), 5)
         assert spectral.makespan(40) == pytest.approx(
-            solve.makespan(40), abs=1e-9, rel=1e-10
+            oracle.makespan(solve, 40), abs=1e-9, rel=1e-10
         )
 
     def test_epoch_vectors(self):
         spectral, solve = _pair(_spec("h2-10"), 4)
         va = spectral.epoch_vectors(10)
-        vb = solve.epoch_vectors(10)
+        vb = oracle.epoch_vectors(solve, 10)
         assert len(va) == len(vb) == 10
         for a, b in zip(va, vb):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
@@ -115,7 +116,7 @@ class TestSpectralEquivalence:
         spectral, solve = _pair(_spec("exp"), 5)
         np.testing.assert_allclose(
             spectral.interdeparture_times(3),
-            solve.interdeparture_times(3),
+            oracle.interdeparture_times(solve, 3),
             rtol=0.0, atol=1e-12,
         )
 
@@ -239,43 +240,27 @@ class TestSpectralFallback:
 
 
 class TestResilientSpectral:
-    """`--robust --propagation spectral` reports downgrades in the ladder."""
+    """The ladder runs the model's default engine: no spectral knob."""
 
     def test_config_validates_propagation(self):
         from repro.resilience import ResilienceConfig
 
-        with pytest.raises(ValueError, match="propagation"):
-            ResilienceConfig(propagation="magic")
+        with pytest.raises(TypeError, match="propagation"):
+            ResilienceConfig(propagation="spectral")
 
     def test_spectral_solve_matches_plain(self):
-        from repro.resilience import ResilienceConfig, solve_resilient
+        from repro.resilience import solve_resilient
 
         spec = _spec("h2-10")
-        result = solve_resilient(
-            spec, 4, 12, ResilienceConfig(propagation="spectral")
-        )
-        plain = TransientModel(spec, 4).interdeparture_times(12)
+        result = solve_resilient(spec, 4, 12)
+        spectral = TransientModel(spec, 4, propagation="spectral")
         np.testing.assert_allclose(
-            result.interdeparture_times, plain, rtol=0.0, atol=1e-10
+            result.interdeparture_times, spectral.interdeparture_times(12),
+            rtol=0.0, atol=1e-10,
         )
+        assert spectral.spectral_fallback is None
         assert result.report.method == "exact"
-        assert not any(a.rung == "spectral" for a in result.report.attempts)
-
-    def test_downgrade_surfaces_in_report(self, monkeypatch):
-        from repro.resilience import ResilienceConfig, solve_resilient
-
-        def boom(_T):
-            raise np.linalg.LinAlgError("forced eig failure")
-
-        monkeypatch.setattr(np.linalg, "eig", boom)
-        result = solve_resilient(
-            _spec("exp"), 4, 10, ResilienceConfig(propagation="spectral")
-        )
-        assert result.report.method == "exact"  # answer quality unaffected
-        notes = [a for a in result.report.attempts if a.rung == "spectral"]
-        assert len(notes) == 1
-        assert notes[0].reason == "spectral-eig-failed"
-        assert not notes[0].ok
+        assert [a.rung for a in result.report.attempts] == ["exact"]
 
 
 class TestValidateN:

@@ -1,22 +1,24 @@
-"""Property test: the three propagation backends are one solver.
+"""Property test: both epoch engines agree with the solve oracle.
 
 Hypothesis draws random small networks (Erlang and H2 service mixes,
-random routing, random K and N) and requires ``spectral``, ``propagator``
-and ``solve`` to produce identical epoch vectors, inter-departure times
-and makespans to ≤1e-10 — or, when the spectral engine declines, to
-downgrade with a reason code while still matching exactly.  One pinned
-ill-conditioned case asserts the downgrade path itself.
+random routing, random K and N) and requires the ``spectral`` and
+``propagator`` engines to produce the epoch vectors, inter-departure
+times and makespans of the solve recurrence (``tests/oracle.py``) to
+≤1e-10 — or, when the spectral engine declines, to downgrade with a
+reason code while still matching exactly.  One pinned ill-conditioned
+case asserts the downgrade path itself.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import TransientModel
 from repro.distributions import erlang, exponential, fit_scv
 from repro.network import DELAY, NetworkSpec, Station
 from repro.resilience.errors import SpectralFallbackError
+from tests import oracle
 
 
 def _random_spec(seed: int) -> NetworkSpec:
@@ -45,23 +47,27 @@ def _random_spec(seed: int) -> NetworkSpec:
 class TestBackendsAgree:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 50_000), K=st.integers(2, 4), N=st.integers(1, 20))
+    # Probe residual 2.5e-11 with ‖τ'_K‖∞ = 22.4: the times drift 4.6e-10
+    # unless the probe check is judged at τ's scale.
+    @example(seed=40587, K=4, N=5)
     def test_three_backends_one_answer(self, seed, K, N):
         spec = _random_spec(seed)
         models = {
             mode: TransientModel(spec, K, propagation=mode)
-            for mode in ("spectral", "propagator", "solve")
+            for mode in ("spectral", "propagator")
         }
-        times = {m: mdl.interdeparture_times(N) for m, mdl in models.items()}
-        spans = {m: mdl.makespan(N) for m, mdl in models.items()}
-        vecs = {m: mdl.epoch_vectors(N) for m, mdl in models.items()}
-        for mode in ("spectral", "propagator"):
+        truth = TransientModel(spec, K)
+        want_times = oracle.interdeparture_times(truth, N)
+        want_span = oracle.makespan(truth, N)
+        want_vecs = oracle.epoch_vectors(truth, N)
+        for mode, model in models.items():
             np.testing.assert_allclose(
-                times[mode], times["solve"], rtol=0.0, atol=1e-10
+                model.interdeparture_times(N), want_times, rtol=0.0, atol=1e-10
             )
-            assert spans[mode] == pytest.approx(
-                spans["solve"], abs=1e-9, rel=1e-10
+            assert model.makespan(N) == pytest.approx(
+                want_span, abs=1e-9, rel=1e-10
             )
-            for a, b in zip(vecs[mode], vecs["solve"]):
+            for a, b in zip(model.epoch_vectors(N), want_vecs):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
         # The spectral engine either held or declined with a reason code —
         # a silent wrong answer is the one outcome the design forbids.

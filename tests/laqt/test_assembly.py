@@ -14,9 +14,10 @@ from repro.clusters import central_cluster
 from repro.core import TransientModel
 from repro.distributions import Shape, exponential
 from repro.laqt.automata import automaton_for
-from repro.laqt.operators import build_level, build_level_reference
+from repro.laqt.operators import build_level
 from repro.laqt.states import build_spaces
 from repro.network import DELAY, NetworkSpec, Station
+from tests.oracle import ReferenceModel, build_level_reference
 
 
 def _levels(spec, K, builder):
@@ -216,12 +217,13 @@ class TestCsrFastPath:
 
 class TestAssemblyBackendKwarg:
     def test_invalid_backend_rejected(self, central_spec):
-        with pytest.raises(ValueError, match="assembly"):
-            TransientModel(central_spec, 3, assembly="fortran")
+        # Assembly is not a knob: the reference loops live in tests/oracle.py.
+        with pytest.raises(TypeError, match="assembly"):
+            TransientModel(central_spec, 3, assembly="reference")
 
     def test_reference_backend_matches_default(self, central_spec):
         fast = TransientModel(central_spec, 4)
-        ref = TransientModel(central_spec, 4, assembly="reference")
+        ref = ReferenceModel(central_spec, 4)
         assert np.array_equal(
             fast.interdeparture_times(10), ref.interdeparture_times(10)
         )

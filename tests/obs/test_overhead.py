@@ -10,11 +10,13 @@ from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.experiments.params import BASE_APP
 from repro.obs import Instrumentation
+from tests import oracle
 
 #: sha256 over fig03's series (names + float64 bytes), recorded before the
-#: observability layer existed.  Pinned on ``propagation="solve"`` — the
-#: bit-exact historical recurrence; the default propagator path agrees to
-#: ~1e-15 but factors (I − P) differently, so its bits legitimately moved.
+#: observability layer existed.  Pinned on the solve recurrence of
+#: ``tests/oracle.py`` — the bit-exact historical path; the default
+#: propagator path agrees to ~1e-15 but factors (I − P) differently, so
+#: its bits legitimately moved.
 #: Any change here means something perturbed the numerics of the
 #: historical path itself.
 FIG03_BASELINE_SHA256 = (
@@ -34,8 +36,7 @@ def _fig03_series_solve() -> dict[str, np.ndarray]:
     series = {}
     for scv, label in labels.items():
         spec = central_cluster(BASE_APP, {"rdisk": Shape.scv(scv)})
-        model = TransientModel(spec, 5, propagation="solve")
-        series[label] = model.interdeparture_times(30)
+        series[label] = oracle.interdeparture_times(TransientModel(spec, 5), 30)
     return series
 
 

@@ -1,7 +1,5 @@
 """End-to-end wiring: spans and metrics emitted by each solver layer."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.experiments.params import BASE_APP
 from repro.obs import Instrumentation
+from tests import oracle
 
 
 def _model(K=5, **kwargs):
@@ -76,10 +75,10 @@ class TestTransientMetrics:
         assert props.value(kind="YR", storage="dense") == 1
 
     def test_counters_solve_ablation(self):
-        """propagation='solve' keeps the historical per-epoch solve counts."""
+        """The solve oracle keeps the historical per-epoch solve counts."""
         ins = Instrumentation.enabled(measure_rss=False)
         with ins.activate():
-            _model(propagation="solve").interdeparture_times(30)
+            oracle.interdeparture_times(_model(), 30)
         m = ins.metrics
         # tau per level + apply_YR/apply_Y per epoch with k>1
         assert m.counter("repro_sparse_solves_total").value(kind="tau") == 5
@@ -131,32 +130,16 @@ class TestInstrumentParameter:
             model.level_dim(2), model.level_dim(1),
         ]
 
-
-class TestEpochHookDeprecation:
-    def test_setting_warns_but_works(self):
-        seen = []
-        model = _model(3)
-        with pytest.warns(DeprecationWarning, match="epoch_hook is deprecated"):
-            model.epoch_hook = lambda j, k, x: seen.append(j)
-        model.interdeparture_times(5)
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_clearing_does_not_warn(self):
-        model = _model(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            model.epoch_hook = None
-
-    def test_hook_and_instrument_both_run(self):
+    def test_explicit_and_ambient_callbacks_both_run(self):
         order = []
         model = _model(3)
-        with pytest.warns(DeprecationWarning):
-            model.epoch_hook = lambda j, k, x: order.append("hook")
         model.instrument = Instrumentation(
-            on_epoch=lambda j, k, x: order.append("ins")
+            on_epoch=lambda j, k, x: order.append("explicit")
         )
-        model.interdeparture_times(2)
-        assert order == ["hook", "ins"] * 2
+        ambient = Instrumentation(on_epoch=lambda j, k, x: order.append("ambient"))
+        with ambient.activate():
+            model.interdeparture_times(2)
+        assert order == ["explicit", "ambient"] * 2
 
 
 class TestResilienceWiring:

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.clusters import ApplicationModel, central_cluster, distributed_cluster
 from repro.core import TransientModel
 from repro.distributions import Shape
+from repro.obs import Instrumentation
 from repro.resilience.guards import GuardConfig
 
 MASS_TOL = 1e-9
@@ -45,9 +46,13 @@ SETTINGS = settings(
 
 def collect_epoch_vectors(spec, K, N):
     """Run the guarded solver, recording every epoch entry vector."""
-    model = TransientModel(spec, K, guards=GuardConfig())
     seen = []
-    model.epoch_hook = lambda j, k, x: seen.append((j, k, np.asarray(x)))
+    model = TransientModel(
+        spec, K, guards=GuardConfig(),
+        instrument=Instrumentation(
+            on_epoch=lambda j, k, x: seen.append((j, k, np.asarray(x)))
+        ),
+    )
     times = model.interdeparture_times(N)
     return times, seen
 

@@ -71,7 +71,6 @@ class TestFingerprints:
         assert model_fingerprint(spec, 5) == base  # deterministic
         assert model_fingerprint(spec, 6) != base
         assert model_fingerprint(_h2_spec(50.0), 5) != base
-        assert model_fingerprint(spec, 5, propagation="spectral") != base
         assert model_fingerprint(spec, 5, version="0.0.0") != base
 
     def test_stable_across_processes(self):

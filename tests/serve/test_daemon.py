@@ -202,7 +202,7 @@ class TestErrors:
             for bad in (
                 {"K": 5, "N": 30},                      # missing spec
                 _body(metric="latency"),                # unknown metric
-                _body(propagation="warp"),              # unknown backend
+                _body(propagation="warp"),              # removed field
                 _body(deadline=-1),                     # bad deadline
                 {"queries": []},                        # empty batch
             ):
@@ -210,6 +210,21 @@ class TestErrors:
                 code, doc = await post(path, bad)
                 assert code == 400, (bad, doc)
                 assert doc["status"] == "error"
+
+        _drive(scenario)
+
+    def test_removed_propagation_field_is_400(self):
+        """Even a once-valid engine name is refused, never solved."""
+        async def scenario(daemon, post, get):
+            for path, body in (
+                ("/solve", _body(propagation="spectral")),
+                ("/solve_many", {"queries": [_body(),
+                                             _body(propagation="propagator")]}),
+            ):
+                code, doc = await post(path, body)
+                assert code == 400, (path, doc)
+                assert "propagation" in doc["error"], doc
+            assert daemon.service.cache.stats()["misses"] == 0
 
         _drive(scenario)
 

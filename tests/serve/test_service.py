@@ -25,7 +25,7 @@ def _spec(scv: float = 10.0):
 
 
 def _cold(q: Query):
-    model = TransientModel(q.spec, q.K, propagation=q.propagation)
+    model = TransientModel(q.spec, q.K)
     if q.metric == "makespan":
         return model.makespan(q.N)
     if q.metric == "interdeparture":

@@ -8,7 +8,7 @@ regression net in the repository.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import TransientModel, solve_steady_state
@@ -19,6 +19,7 @@ from repro.jackson import (
     balanced_job_bounds,
     convolution_analysis,
 )
+from repro.laqt.product_space import FullProductModel
 from repro.markov import MakespanAnalyzer
 from repro.network import DELAY, NetworkSpec, Station
 
@@ -45,8 +46,10 @@ def _random_spec(seed: int, *, allow_ph: bool) -> NetworkSpec:
 class TestIdentityWeb:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 50_000), K=st.integers(1, 3), N=st.integers(3, 10))
+    @example(seed=7, K=3, N=7)  # an all-exponential draw
     def test_three_routes_to_the_makespan(self, seed, K, N):
-        """Epoch sum ≡ absorbing-chain mean ≡ epoch-law means, any system."""
+        """Epoch sum ≡ absorbing-chain mean ≡ epoch-law means, any system;
+        ≡ the full Kronecker-space solve for exponential systems."""
         spec = _random_spec(seed, allow_ph=True)
         model = TransientModel(spec, K)
         times = model.interdeparture_times(N)
@@ -54,6 +57,9 @@ class TestIdentityWeb:
         assert MakespanAnalyzer(model, N).mean() == pytest.approx(span, rel=1e-8)
         means = [d.mean for d in epoch_distributions(model, N)]
         assert np.allclose(means, times, rtol=1e-8)
+        if all(st.dist.n_stages == 1 for st in spec.stations):
+            full = FullProductModel(spec, K).makespan(N)
+            assert full == pytest.approx(span, rel=1e-8)
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 50_000), K=st.integers(1, 4))
