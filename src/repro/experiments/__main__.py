@@ -163,12 +163,7 @@ def main(argv=None) -> int:
                 current = name
                 fig = FIGURES[name]
                 params = inspect.signature(fig).parameters
-                if "executor" in params:
-                    kwargs = {"executor": executor}
-                elif "jobs" in params:
-                    kwargs = {"jobs": args.jobs}
-                else:
-                    kwargs = {}
+                kwargs = {"executor": executor} if "executor" in params else {}
                 with ins.tracer.span("experiment", figure=name) as span:
                     result = fig(**kwargs)
                 _print_new_reports()

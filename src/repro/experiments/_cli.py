@@ -81,8 +81,9 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "parent process (default 3; 1 disables retries)")
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="journal every completed point to DIR/<figure>.journal.jsonl "
-             "so a killed run salvages its finished points")
+        help="record every completed point in the point store at DIR "
+             "(DIR/segments/<figure>.journal.seg.jsonl) so a killed run "
+             "salvages its finished points")
     parser.add_argument(
         "--resume", action="store_true",
         help="skip points already recorded in the checkpoint journal "
@@ -120,9 +121,10 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "shard provenance) as JSON")
     parser.add_argument(
         "--checkpoint-gc", action="store_true",
-        help="compact the journal (--checkpoint-dir) and/or shard "
-             "namespace (--shard-dir) down to one record per point, "
-             "dropping leases and graves for finished points, then exit "
+        help="compact the point store of --checkpoint-dir and/or "
+             "--shard-dir down to one merged file with one record per "
+             "point (bad lines quarantined first; with --shard-dir also "
+             "dropping leases and graves of finished points), then exit "
              "without sweeping")
 
 
@@ -208,23 +210,21 @@ def run_checkpoint_gc(args: argparse.Namespace,
     stream = stream if stream is not None else sys.stderr
     if not args.checkpoint_dir and not getattr(args, "shard_dir", None):
         parser.error("--checkpoint-gc requires --checkpoint-dir or --shard-dir")
+    counts = {}
     if args.checkpoint_dir:
         from repro.experiments.journal import SweepJournal
 
-        journal = SweepJournal(args.checkpoint_dir)
-        dropped = journal.compact(figure)
-        for fig, n in sorted(dropped.items()):
-            print(f"# compacted {fig}: dropped {n} superseded record(s)",
-                  file=stream)
-        journal.close()
+        counts["compacted"] = SweepJournal(
+            args.checkpoint_dir, writer="gc").compact(figure)
     if getattr(args, "shard_dir", None):
         from repro.experiments.shard import ShardNamespace
 
-        ns = ShardNamespace(args.shard_dir)
-        kept = ns.gc(figure)
-        for fig, n in sorted(kept.items()):
-            print(f"# shard gc {fig}: {n} record(s) in one merged segment, "
-                  "leases and graves dropped", file=stream)
+        counts["shard gc"] = ShardNamespace(args.shard_dir).gc(figure)
+    for what, per_figure in counts.items():
+        for fig, (kept, dropped) in sorted(per_figure.items()):
+            print(f"# {what} {fig}: {kept} record(s) in one merged file, "
+                  f"{dropped} superseded or quarantined line(s) dropped",
+                  file=stream)
     return 0
 
 

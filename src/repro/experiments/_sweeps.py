@@ -6,21 +6,20 @@ modules only bind parameters; all computation lives here (and is therefore
 what the benchmark harness times).
 
 Every helper decomposes its figure into independent *sweep points* (one
-per swept C²/K value) and runs them through
-:class:`~repro.experiments.executor.SweepExecutor`: one
+per swept C²/K value) and runs them through one executor: one
 :class:`~repro.core.transient.TransientModel` per point, shared across
-every workload size N and every curve differing only in N, and optional
-process-pool fan-out via the ``jobs=`` keyword (default 1, strictly
-serial and deterministic; ``jobs>1`` produces identical numbers).  The
-point functions are module-level so they pickle across pool boundaries.
+every workload size N and every curve differing only in N.  The point
+functions are module-level so they pickle across pool boundaries.
 
-Every helper also accepts ``executor=``: a pre-configured
-:class:`~repro.experiments.executor.SweepExecutor` carrying supervision
-settings (per-point ``timeout=``, a ``RetryPolicy``, a checkpoint
-``journal=``/``resume=``, drill ``faults=``).  When given, it overrides
-``jobs`` — this is how both CLIs thread ``--timeout/--retries/--resume/
---checkpoint-dir`` down to the sweep.  Sweeps are labelled with the
-experiment name, which keys the checkpoint journal.
+``executor=`` is the one way to choose the runtime: a configured
+:class:`~repro.experiments.executor.SweepExecutor` (``jobs=`` pool
+fan-out with identical numbers, per-point ``timeout=``, a
+``RetryPolicy``, a checkpoint ``journal=``/``resume=``, drill
+``faults=``) or a :class:`~repro.experiments.shard.ShardExecutor`.  This
+is how both CLIs thread ``--jobs/--timeout/--retries/--resume/
+--checkpoint-dir/--shard-dir`` down to the sweep; ``None`` (the default)
+runs serially.  Sweeps are labelled with the experiment name, which keys
+the point store.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ def build_cluster(
     raise ValueError(f"unknown cluster kind {kind!r}; use 'central' or 'distributed'")
 
 
-def _executor(executor: SweepExecutor | None, jobs: int) -> SweepExecutor:
-    """The caller's supervised executor, or a plain one built from jobs."""
-    return executor if executor is not None else SweepExecutor(jobs)
-
-
 def shape_for_scv(scv: float) -> Shape:
     """The paper's distribution choice for a C² value.
 
@@ -97,20 +91,9 @@ def _series_label(scv: float) -> str:
 
 def _swept_model(kind: str, role: str, K: int, scv: float,
                  app: ApplicationModel) -> TransientModel:
-    """The one model a sweep point owns (levels/propagators built once).
-
-    When a :class:`~repro.serve.cache.ModelCache` is ambient (a
-    ``SweepExecutor(model_cache=...)`` or an active ``repro serve``
-    process), the build goes through it so repeated points against one
-    spec share a warm model instead of re-assembling operators.
-    """
+    """The one model a sweep point owns (levels/propagators built once)."""
     station = _SWEEP_STATION[(kind, role)]
     spec = build_cluster(kind, app, K, {station: shape_for_scv(scv)})
-    from repro.serve.cache import ambient_cache
-
-    cache = ambient_cache()
-    if cache is not None:
-        return cache.get_or_build(spec, K)
     return TransientModel(spec, K)
 
 
@@ -178,13 +161,11 @@ def interdeparture_experiment(
     N: int,
     scvs: Sequence[float],
     app: ApplicationModel,
-    jobs: int = 1,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
     """Inter-departure time vs task order for several C² (Figs. 3, 4, 10, 11)."""
     station = _SWEEP_STATION[(kind, role)]
-    ex = _executor(executor, jobs)
-    rows = ex.map(
+    rows = (executor or SweepExecutor()).map(
         _point_interdeparture,
         [(kind, role, K, N, scv, app) for scv in scvs],
         label=experiment,
@@ -210,13 +191,11 @@ def steady_state_scv_experiment(
     scvs: Sequence[float],
     heavy_app: ApplicationModel,
     light_app: ApplicationModel,
-    jobs: int = 1,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
     """Steady-state inter-departure time vs C² under heavy/light shared load (Fig. 5)."""
     scvs = np.asarray(scvs, dtype=float)
-    ex = _executor(executor, jobs)
-    pairs = ex.map(
+    pairs = (executor or SweepExecutor()).map(
         _point_steady_scv,
         [(K, float(scv), heavy_app, light_app)
          for scv in scvs],
@@ -246,7 +225,6 @@ def prediction_error_experiment(
     Ns: Sequence[int],
     scvs: Sequence[float],
     app: ApplicationModel,
-    jobs: int = 1,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
     """Error of the exponential approximation vs C² (Figs. 6, 7, 12, 13).
@@ -257,8 +235,7 @@ def prediction_error_experiment(
     """
     scvs = np.asarray(scvs, dtype=float)
     Ns = tuple(int(N) for N in Ns)
-    ex = _executor(executor, jobs)
-    cols = ex.map(
+    cols = (executor or SweepExecutor()).map(
         _point_prediction_error,
         [(kind, role, K, Ns, float(scv), app)
          for scv in scvs],
@@ -289,14 +266,12 @@ def speedup_scv_experiment(
     Ns: Sequence[int],
     scvs: Sequence[float],
     app: ApplicationModel,
-    jobs: int = 1,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
     """Speedup vs C² of the swept station (Figs. 8, 9)."""
     scvs = np.asarray(scvs, dtype=float)
     Ns = tuple(int(N) for N in Ns)
-    ex = _executor(executor, jobs)
-    cols = ex.map(
+    cols = (executor or SweepExecutor()).map(
         _point_speedup_scv,
         [(kind, role, K, Ns, float(scv), app)
          for scv in scvs],
@@ -324,7 +299,6 @@ def speedup_vs_k_experiment(
     Ks: Sequence[int],
     curves: dict[str, tuple[Shape, int]],
     app: ApplicationModel,
-    jobs: int = 1,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
     """Speedup vs cluster size (Figs. 14, 15).
@@ -335,8 +309,7 @@ def speedup_vs_k_experiment(
     Ks = np.asarray(Ks, dtype=int)
     labels = list(curves)
     curve_items = tuple(curves[label] for label in labels)
-    ex = _executor(executor, jobs)
-    rows = ex.map(
+    rows = (executor or SweepExecutor()).map(
         _point_speedup_k,
         [(int(K), curve_items, app) for K in Ks],
         label=experiment,

@@ -30,9 +30,9 @@ configuration, ~zero cost on the happy path):
   final attempt runs *inline in the parent*, the rung no worker death
   can reach — the sweep-level mirror of the solver's degradation ladder;
 * **checkpoints** — a :class:`~repro.experiments.journal.SweepJournal`
-  records each completed point (flushed immediately), so a killed run
-  salvages its finished points and ``resume=True`` skips them
-  bit-identically;
+  (the point store shard workers use too) records each completed point,
+  fsync'd before it counts, so a killed run salvages its finished points
+  and ``resume=True`` skips them bit-identically;
 * **reporting** — every ``map`` leaves a :class:`SweepReport` on
   :attr:`SweepExecutor.report` (per-point status, attempts, pool
   rebuilds) that the CLIs surface with ``validate``-style 0/1/2 exit
@@ -41,9 +41,11 @@ configuration, ~zero cost on the happy path):
 Every point that runs in the calling process — each serial point, the
 pool's inline fallback rung, and every point a
 :class:`~repro.experiments.shard.ShardExecutor` worker claims — goes
-through the one attempt loop :func:`run_attempts`, and every computed
+through the one attempt loop :func:`run_attempts`, every computed
 point's ``ok``/``retried``/``salvaged`` verdict comes from
-:meth:`PointOutcome.settle`, so the three runtimes cannot drift apart.
+:meth:`PointOutcome.settle`, and every point found in the store
+(``resumed``, or ``peer`` when a shard peer wrote it mid-run) is settled
+by :func:`settle_recorded`, so the three runtimes cannot drift apart.
 
 Observability survives the fan-out *and* failures: each worker records
 its own ``sweep_point`` span tree and metrics registry and ships them
@@ -64,6 +66,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.experiments.journal import decode_value, fingerprint_point
 from repro.obs import runtime as _rt
 from repro.obs.instrument import Instrumentation
 from repro.resilience.errors import SolverError, SweepError
@@ -79,6 +82,7 @@ __all__ = [
     "latency_summary",
     "pool_worker",
     "run_attempts",
+    "settle_recorded",
 ]
 
 #: Schema tag for serialized sweep reports (``SweepReport.to_dict``).
@@ -214,8 +218,9 @@ class PointOutcome:
     steals: int = 0
     #: lease generation of the accepted record (0 outside shards)
     generation: int = 0
-    #: wall-clock seconds of the accepted attempt (0.0 when not computed
-    #: here, e.g. journal-resumed or peer-computed points)
+    #: wall-clock seconds of the accepted attempt in this run; a point
+    #: settled from a stored record ("resumed" or "peer") was not
+    #: computed here and reports 0.0, whatever its record's history
     seconds: float = 0.0
 
     def settle(self, attempt: int, fallback: bool) -> None:
@@ -330,9 +335,10 @@ class SweepReport:
     def latency(self) -> dict[str, float] | None:
         """Exact p50/p95/p99 over per-point wall seconds, or ``None``.
 
-        Only points actually computed in this run carry a duration
-        (journal-resumed and peer-computed points report 0.0 and are
-        excluded), so the percentiles describe real solve latency.
+        Only points computed in this run carry a duration (points
+        settled from stored records — resumed, or written by a shard
+        peer — report 0.0 and are excluded), so the percentiles describe
+        solve latency paid by this run.
         """
         secs = [p.seconds for p in self.points if p.seconds > 0.0]
         if not secs:
@@ -415,7 +421,6 @@ def run_attempts(
     *,
     mode: str,
     first: int = 1,
-    model_cache=None,
 ) -> tuple[bool, Any]:
     """Run one sweep point inline, attempts ``first..retry.max_attempts``.
 
@@ -433,12 +438,8 @@ def run_attempts(
         out.attempts = attempt
         t0 = time.perf_counter()
         try:
-            with (
-                nullcontext() if model_cache is None
-                else model_cache.activate(),
-                nullcontext() if ins is None
-                else ins.span("sweep_point", fn=fn.__name__, mode=mode),
-            ):
+            with nullcontext() if ins is None else ins.span(
+                    "sweep_point", fn=fn.__name__, mode=mode):
                 if faults is not None and not fallback:
                     trigger_point_fault(faults, out.index, attempt,
                                         inline=True)
@@ -456,6 +457,37 @@ def run_attempts(
             ins.observe("repro_point_seconds", out.seconds, mode=mode)
         return True, value
     return False, None
+
+
+def settle_recorded(records: dict[str, dict], fps: Sequence[str],
+                    indices: Sequence[int], report: SweepReport,
+                    results: list, *, status: str) -> set[int]:
+    """Settle each point of ``indices`` whose fingerprint has a record.
+
+    The one resume rule of every runtime: the value is decoded
+    bit-exactly into ``results``, the point's status becomes ``status``
+    (``"resumed"``, counted in ``repro_points_resumed_total``, or
+    ``"peer"`` for a record a shard peer wrote mid-run), shard provenance
+    (owner, generation, steals) comes from the record, and ``attempts``
+    and ``seconds`` stay 0 — nothing was computed in this run.  Returns
+    the indices settled.
+    """
+    ins = _rt.ACTIVE
+    settled = set()
+    for i in indices:
+        rec = records.get(fps[i])
+        if rec is None:
+            continue
+        results[i] = decode_value(rec["value"])
+        out = report.points[i]
+        out.status = status
+        out.owner = rec.get("owner", "")
+        out.generation = int(rec.get("generation", 0))
+        out.steals = max(0, out.generation - 1)
+        settled.add(i)
+        if ins is not None and status == "resumed":
+            ins.count("repro_points_resumed_total")
+    return settled
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -482,11 +514,12 @@ class SweepExecutor:
         :class:`~repro.resilience.retry.RetryPolicy`; the default allows
         3 attempts with the last one inline in the parent.
     journal:
-        :class:`~repro.experiments.journal.SweepJournal` recording every
-        completed point; ``None`` disables checkpointing.
+        :class:`~repro.experiments.journal.SweepJournal` point store
+        recording every completed point; ``None`` disables
+        checkpointing.
     resume:
-        Look each point up in the journal before running it and reuse the
-        recorded (bit-exact) result on a hit.
+        Look each point up in the store before running it and reuse the
+        recorded (bit-exact) result on a hit (:func:`settle_recorded`).
     faults:
         Deterministic :class:`~repro.resilience.faults.SweepFaultPlan`
         for supervision drills — never armed in service.  Only its point
@@ -502,7 +535,6 @@ class SweepExecutor:
         journal=None,
         resume: bool = False,
         faults: SweepFaultPlan | None = None,
-        model_cache=None,
     ):
         if jobs < 1 or int(jobs) != jobs:
             raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -514,12 +546,6 @@ class SweepExecutor:
         self.journal = journal
         self.resume = bool(resume)
         self.faults = faults
-        #: optional :class:`~repro.serve.cache.ModelCache` made ambient
-        #: around every inline point, so sweep points that build their
-        #: model through :func:`repro.experiments._sweeps._swept_model`
-        #: reuse warm models across points (serial path only — pool
-        #: workers are separate processes and always build cold)
-        self.model_cache = model_cache
         #: report of the most recent :meth:`map` (None before the first)
         self.report: SweepReport | None = None
         #: reports of every :meth:`map` on this executor, oldest first
@@ -562,9 +588,12 @@ class SweepExecutor:
         results: list[Any] = [_PENDING] * len(calls)
         pending = list(range(len(calls)))
         if self.journal is not None and self.resume:
-            pending = self._resume_from_journal(
-                label, calls, results, report.points
-            )
+            fps = [fingerprint_point(label, args, self.journal.version)
+                   for args in calls]
+            resumed = settle_recorded(self.journal.records(label), fps,
+                                      pending, report, results,
+                                      status="resumed")
+            pending = [i for i in pending if i not in resumed]
 
         try:
             if pending:
@@ -582,23 +611,7 @@ class SweepExecutor:
             )
         return results
 
-    # -- resume --------------------------------------------------------
-    def _resume_from_journal(
-        self, label: str, calls: list[tuple], results: list, outcomes
-    ) -> list[int]:
-        ins = _rt.ACTIVE
-        still = []
-        for i, args in enumerate(calls):
-            hit, value = self.journal.lookup(label, args)
-            if hit:
-                results[i] = value
-                outcomes[i].status = "resumed"
-                if ins is not None:
-                    ins.count("repro_points_resumed_total")
-            else:
-                still.append(i)
-        return still
-
+    # -- checkpoints ---------------------------------------------------
     def _checkpoint(self, label: str, args: tuple, out: PointOutcome,
                     value: Any) -> None:
         if self.journal is not None:
@@ -616,7 +629,7 @@ class SweepExecutor:
             out = report.points[i]
             ok, value = run_attempts(
                 fn, calls[i], out, self.retry, self.faults, mode="inline",
-                first=first, model_cache=self.model_cache,
+                first=first,
             )
             if ok:
                 results[i] = value

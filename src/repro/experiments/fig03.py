@@ -16,7 +16,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 5, N: int = 30, scvs=(1.0, 10.0, 50.0), app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 3 (overridable parameters for exploration)."""
     return interdeparture_experiment(
         experiment="fig03",
@@ -26,6 +26,5 @@ def run(*, K: int = 5, N: int = 30, scvs=(1.0, 10.0, 50.0), app=BASE_APP,
         N=N,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -14,7 +14,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 8, N: int = 30, scvs=(1.0, 10.0, 50.0), app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 4."""
     return interdeparture_experiment(
         experiment="fig04",
@@ -24,6 +24,5 @@ def run(*, K: int = 8, N: int = 30, scvs=(1.0, 10.0, 50.0), app=BASE_APP,
         N=N,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -21,7 +21,7 @@ def run(
     scvs=SCV_SWEEP,
     heavy_app=BASE_APP,
     light_app=LIGHT_APP,
-    jobs: int = 1, executor=None,
+    executor=None,
 ) -> ExperimentResult:
     """Reproduce Figure 5."""
     return steady_state_scv_experiment(
@@ -30,6 +30,5 @@ def run(
         scvs=scvs,
         heavy_app=heavy_app,
         light_app=light_app,
-        jobs=jobs,
         executor=executor,
     )

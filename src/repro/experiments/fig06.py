@@ -15,7 +15,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 5, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 6."""
     return prediction_error_experiment(
         experiment="fig06",
@@ -25,6 +25,5 @@ def run(*, K: int = 5, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

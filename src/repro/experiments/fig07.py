@@ -13,7 +13,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 8, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 7."""
     return prediction_error_experiment(
         experiment="fig07",
@@ -23,6 +23,5 @@ def run(*, K: int = 8, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

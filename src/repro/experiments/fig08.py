@@ -14,7 +14,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 5, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 8."""
     return speedup_scv_experiment(
         experiment="fig08",
@@ -24,6 +24,5 @@ def run(*, K: int = 5, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -10,7 +10,7 @@ __all__ = ["run"]
 
 
 def run(*, K: int = 8, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 9."""
     return speedup_scv_experiment(
         experiment="fig09",
@@ -20,6 +20,5 @@ def run(*, K: int = 8, Ns=(30, 100), scvs=SCV_SWEEP, app=BASE_APP,
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -18,7 +18,7 @@ __all__ = ["run"]
 
 def run(
     *, K: int = 5, N: int = 20, scvs=(1.0, 1.0 / 3.0, 2.0), app=DEDICATED_APP,
-    jobs: int = 1, executor=None,
+    executor=None,
 ) -> ExperimentResult:
     """Reproduce Figure 10."""
     return interdeparture_experiment(
@@ -29,6 +29,5 @@ def run(
         N=N,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -15,7 +15,7 @@ __all__ = ["run"]
 
 def run(
     *, K: int = 8, N: int = 30, scvs=(1.0, 1.0 / 3.0, 2.0), app=DEDICATED_APP,
-    jobs: int = 1, executor=None,
+    executor=None,
 ) -> ExperimentResult:
     """Reproduce Figure 11."""
     return interdeparture_experiment(
@@ -26,6 +26,5 @@ def run(
         N=N,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -15,7 +15,7 @@ __all__ = ["run"]
 
 def run(
     *, K: int = 5, Ns=(30,), scvs=SCV_SWEEP_DEDICATED, app=DEDICATED_APP,
-    jobs: int = 1, executor=None,
+    executor=None,
 ) -> ExperimentResult:
     """Reproduce Figure 12."""
     return prediction_error_experiment(
@@ -26,6 +26,5 @@ def run(
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -14,7 +14,7 @@ __all__ = ["run"]
 
 def run(
     *, K: int = 8, Ns=(30,), scvs=SCV_SWEEP_DEDICATED, app=DEDICATED_APP,
-    jobs: int = 1, executor=None,
+    executor=None,
 ) -> ExperimentResult:
     """Reproduce Figure 13."""
     return prediction_error_experiment(
@@ -25,6 +25,5 @@ def run(
         Ns=Ns,
         scvs=scvs,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -16,7 +16,7 @@ __all__ = ["run"]
 
 
 def run(*, Ks=range(1, 11), Ns=(20, 100, 200), app=DEDICATED_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 14."""
     exp = Shape.exponential()
     return speedup_vs_k_experiment(
@@ -24,6 +24,5 @@ def run(*, Ks=range(1, 11), Ns=(20, 100, 200), app=DEDICATED_APP,
         Ks=list(Ks),
         curves={f"N={N}": (exp, int(N)) for N in Ns},
         app=app,
-        jobs=jobs,
         executor=executor,
     )

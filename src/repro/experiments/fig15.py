@@ -15,7 +15,7 @@ __all__ = ["run"]
 
 
 def run(*, Ks=range(1, 11), N: int = 100, h2_scv: float = 2.0, app=DEDICATED_APP,
-        jobs: int = 1, executor=None) -> ExperimentResult:
+        executor=None) -> ExperimentResult:
     """Reproduce Figure 15."""
     curves = {
         "exp": (Shape.exponential(), int(N)),
@@ -27,6 +27,5 @@ def run(*, Ks=range(1, 11), N: int = 100, h2_scv: float = 2.0, app=DEDICATED_APP
         Ks=list(Ks),
         curves=curves,
         app=app,
-        jobs=jobs,
         executor=executor,
     )

@@ -1,48 +1,48 @@
-"""Resumable sweep checkpoints: a JSONL journal of completed points.
+"""The point store: CRC-sealed checkpoints of completed sweep points.
 
 A figure sweep is a list of independent points; losing a 40-minute run to
-a crash on point 37 of 40 is the failure mode this module removes.  The
-:class:`SweepJournal` appends one JSON line per *completed* point to
-``<checkpoint-dir>/<figure>.journal.jsonl`` — flushed immediately, so a
-``SIGKILL`` mid-sweep loses at most the point in flight — and a
-``--resume`` run looks each point up before submitting it, skipping the
-finished ones.
+a crash on point 37 of 40 is the failure mode this module removes.
+:class:`SweepJournal` is the one store behind both sweep runtimes — the
+single-process :class:`~repro.experiments.executor.SweepExecutor`
+(``--checkpoint-dir``) and each
+:class:`~repro.experiments.shard.ShardExecutor` worker (``--shard-dir``)
+— and both directories share one layout::
 
-Two properties make resume trustworthy:
+    segments/<figure>.<writer>.seg.jsonl   # one append-only file per writer
+    segments/<figure>.merged.seg.jsonl     # what compaction leaves
+    quarantine/<writer>.quarantine.jsonl   # bad lines, kept for post-mortem
 
-* **Stable fingerprints.** Each record is keyed by a SHA-256 over a
-  canonical rendering of ``(figure, point arguments, repro version)``.
-  Floats are hashed by their IEEE-754 hex form, dataclasses by sorted
-  field name/value pairs, :class:`~repro.distributions.shapes.Shape` by
-  ``(name, sorted params)`` — no ``repr`` ambiguity, no pickle
-  bytestream, no hash randomization.  Change a parameter (or upgrade the
-  package) and the fingerprint misses: the point is recomputed, never
-  silently reused.
-* **Bit-exact values.** Results round-trip through a typed codec —
-  ``ndarray`` as base64 of its raw bytes plus dtype/shape, floats as
-  ``float.hex()`` — so a resumed sweep assembles output *bit-identical*
-  to the uninterrupted run (asserted in
-  ``tests/experiments/test_supervision.py``).
+Each writer appends one line per *completed* point to its own file, so no
+two processes interleave bytes; every reader tails all writers' files
+incrementally and merges them last-record-wins by fingerprint.
+
+* **Stable fingerprints.** A record is keyed by a SHA-256 over a
+  canonical rendering of ``(figure, point arguments, repro version)``:
+  floats by their IEEE-754 hex form, dataclasses by sorted field
+  name/value pairs, :class:`~repro.distributions.shapes.Shape` by
+  ``(name, sorted params)`` — no ``repr`` ambiguity, no pickle, no hash
+  randomization.  Change a parameter (or upgrade the package) and the
+  fingerprint misses: the point is recomputed, never silently reused.
+* **Bit-exact values.** ``ndarray`` round-trips as base64 of its raw
+  bytes plus dtype/shape, floats as ``float.hex()``, so a resumed sweep
+  is *bit-identical* to the uninterrupted run
+  (``tests/experiments/test_supervision.py``).
 * **Crash-consistent appends.** Every record carries a CRC-32 of its own
-  canonical rendering and is fsync'd to disk before the point counts as
-  checkpointed, so a power loss can tear at most the final line.  On
-  load, a torn *tail* (the unfinished last line of a killed writer) is
-  silently skipped; a torn *middle* record or a CRC mismatch — the
-  signature of partial flushes or bit rot — is **quarantined** to
-  ``<root>/quarantine/<figure>.quarantine.jsonl`` (and counted on
-  ``repro_journal_quarantined_total``) instead of crashing the load or,
-  worse, being trusted.
+  canonical rendering and is fsync'd before the point counts, so a crash
+  tears at most a writer's last line.  Readers consume only
+  newline-terminated lines, so a torn *tail* stays invisible and its
+  point is recomputed; the next append to that file starts a fresh line
+  rather than gluing onto the torn bytes.  Any other bad line — a torn
+  middle, a CRC mismatch, bytes that are not UTF-8 — is **quarantined**
+  once per reader (``repro_journal_quarantined_total``), never trusted,
+  never fatal.
 
-Only successes are journaled; failures are re-run on resume.  Re-running
-without ``--resume`` appends fresh records, and lookup takes the last
-record per fingerprint, so a journal never has to be deleted to be safe —
-:meth:`SweepJournal.compact` rewrites a directory down to one record per
-fingerprint (fsync + atomic rename) when the history is no longer wanted.
-
-The module-level helpers (:func:`make_record`, :func:`load_records_text`,
-:func:`record_crc`) are shared with the distributed shard layer
-(:mod:`repro.experiments.shard`), which appends the same record schema to
-per-worker segment files and merges them last-record-wins.
+Only successes are recorded; failures are re-run on resume.  Lookup takes
+the last record per fingerprint, so a store never has to be deleted to be
+safe; :meth:`SweepJournal.compact` merges a figure's files into one when
+the history is no longer wanted.  Directories in the older single-file
+layout (``<figure>.journal.jsonl``) are not read: their points are
+recomputed, never misread.
 """
 
 from __future__ import annotations
@@ -68,12 +68,10 @@ __all__ = [
     "decode_value",
     "encode_value",
     "fingerprint_point",
-    "fsync_write",
     "load_records_text",
     "make_record",
     "record_crc",
     "record_line",
-    "write_atomic",
 ]
 
 #: Journal line schema version (bump on incompatible record changes).
@@ -131,17 +129,22 @@ def decode_value(obj: Any) -> Any:
 
 # ----------------------------------------------------------------------
 # Canonical fingerprints
-def _canonical(obj: Any) -> Any:
-    """A JSON-stable, process-independent rendering of point arguments."""
+def canonical_value(obj: Any) -> Any:
+    """A JSON-stable, process-independent rendering of point arguments.
+
+    The model-cache layer (:mod:`repro.serve.cache`) keys warm models by
+    the same rendering, so a spec hashes identically whether it reaches
+    the solver through a checkpointed sweep or a service query.
+    """
     if isinstance(obj, Shape):
         return ["shape", obj.name, sorted(
-            (k, _canonical(v)) for k, v in obj.params.items()
+            (k, canonical_value(v)) for k, v in obj.params.items()
         )]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return [
             type(obj).__name__,
             sorted(
-                (f.name, _canonical(getattr(obj, f.name)))
+                (f.name, canonical_value(getattr(obj, f.name)))
                 for f in dataclasses.fields(obj)
             ),
         ]
@@ -153,9 +156,9 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, (np.integer,)):
         return ["i", int(obj)]
     if isinstance(obj, (tuple, list)):
-        return [_canonical(v) for v in obj]
+        return [canonical_value(v) for v in obj]
     if isinstance(obj, dict):
-        return ["dict", sorted((str(k), _canonical(v)) for k, v in obj.items())]
+        return ["dict", sorted((str(k), canonical_value(v)) for k, v in obj.items())]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     raise TypeError(
@@ -165,29 +168,17 @@ def _canonical(obj: Any) -> Any:
     )
 
 
-def canonical_value(obj: Any) -> Any:
-    """Public alias of the canonical rendering used by fingerprints.
-
-    The model-cache layer (:mod:`repro.serve.cache`) keys warm
-    :class:`~repro.core.transient.TransientModel` entries by the same
-    host-independent rendering the journal uses for sweep points, so a
-    spec hashes identically whether it reaches the solver through a
-    checkpointed sweep or a service query.
-    """
-    return _canonical(obj)
-
-
 def fingerprint_point(figure: str, args: tuple, version: str) -> str:
     """Stable SHA-256 key of one sweep point: (figure, params, version)."""
     payload = json.dumps(
-        [SCHEMA, version, figure, _canonical(tuple(args))],
+        [SCHEMA, version, figure, canonical_value(tuple(args))],
         separators=(",", ":"), sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
-# Shared record schema (single-writer journals and shard segments alike)
+# Record schema (one line per completed point)
 def record_crc(rec: dict) -> int:
     """CRC-32 over the canonical rendering of a record (minus its crc)."""
     body = json.dumps(
@@ -208,17 +199,15 @@ def make_record(
     attempts: int = 1,
     owner: str | None = None,
     generation: int | None = None,
-    seconds: float | None = None,
 ) -> dict:
     """One checkpoint record, CRC-sealed, ready to serialize as a line.
 
     ``owner``/``generation`` are shard provenance: the worker id that
     computed the point and the lease generation it held (1 = first
-    holder, >1 = the point was stolen that many minus one times).
-    ``seconds`` is the accepted attempt's wall-clock duration, carried
-    so peers settling this record inherit the latency sample for their
-    own report percentiles.  All three are optional additive fields;
-    readers of schema /1 tolerate their absence.
+    holder, >1 = the point was stolen that many minus one times).  Both
+    are optional additive fields; readers of schema /1 tolerate their
+    absence (and ignore fields they do not know, such as the ``seconds``
+    older shard records carry).
     """
     rec: dict[str, Any] = {
         "schema": SCHEMA,
@@ -234,8 +223,6 @@ def make_record(
         rec["owner"] = owner
     if generation is not None:
         rec["generation"] = int(generation)
-    if seconds is not None and seconds > 0.0:
-        rec["seconds"] = round(float(seconds), 9)
     rec["crc"] = record_crc(rec)
     return rec
 
@@ -254,23 +241,18 @@ def load_records_text(
 
     Recovery semantics (the crash-consistency contract):
 
-    * an *unterminated* malformed last line — the torn tail of a killed
-      writer — is skipped silently (``--resume`` recomputes the point);
-    * any other malformed line (torn middle after a partial flush,
-      CRC mismatch from bit rot, half a record glued to the next append)
-      is reported through ``on_bad_line(lineno, raw, why)`` and skipped —
+    * text after the last newline — the torn tail of a killed writer, or
+      a line still being written — is not parsed (``--resume``
+      recomputes its point);
+    * a complete malformed line (torn middle after a partial flush, CRC
+      mismatch from bit rot, half a record glued to the next append) is
+      reported through ``on_bad_line(lineno, raw, why)`` and skipped —
       quarantined, never trusted, never fatal;
     * valid JSON of a foreign schema is ignored (forward compatibility).
     """
     records: dict[str, dict] = {}
-    if not text:
-        return records
-    ends_with_newline = text.endswith("\n")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    last = len(lines) - 1
-    for i, raw in enumerate(lines):
+    complete = text[: text.rfind("\n") + 1]
+    for i, raw in enumerate(complete.split("\n")[:-1]):
         line = raw.strip()
         if not line:
             continue
@@ -290,8 +272,6 @@ def load_records_text(
             elif "crc" in rec and record_crc(rec) != rec["crc"]:
                 why = "crc-mismatch"
         if why is not None:
-            if i == last and not ends_with_newline and why == "unparsable":
-                continue  # torn tail from a killed writer: benign
             if on_bad_line is not None:
                 on_bad_line(i + 1, line, why)
             continue
@@ -299,97 +279,129 @@ def load_records_text(
     return records
 
 
-def fsync_write(fh: IO[str], line: str) -> None:
-    """Append one line, flushed and fsync'd, so a crash cannot lose it."""
-    fh.write(line + "\n")
-    fh.flush()
-    os.fsync(fh.fileno())
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Durable whole-file replace: write temp, fsync, atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 # ----------------------------------------------------------------------
 class SweepJournal:
-    """Append-only per-figure checkpoint journal under one directory.
+    """The point store of one checkpoint directory or shard namespace.
+
+    Appends go to this store's own file per figure; reads merge every
+    writer's files for that figure (see the module docstring for the
+    layout and the crash-consistency rules).
 
     Parameters
     ----------
     root:
-        Checkpoint directory (created on first write).
+        Checkpoint directory or shard namespace (its ``segments/`` and
+        ``quarantine/`` subdirectories are created on first write).
     version:
         Package version folded into every fingerprint; defaults to the
-        installed :data:`repro.__version__`, so journals never leak
+        installed :data:`repro.__version__`, so records never leak
         across releases.
-    fsync:
-        When true (the default), every append is fsync'd before the
-        point counts as checkpointed.  Tests that hammer the journal can
-        turn it off; production paths should not.
+    writer:
+        Names this store's own file per figure and its quarantine file
+        (a file-name component).  Concurrent writers need distinct
+        names: shard workers pass their worker id, and the default
+        ``"journal"`` serves a single-process ``--checkpoint-dir`` run.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        version: str | None = None,
-        fsync: bool = True,
-    ):
+    def __init__(self, root: str | Path, *, version: str | None = None,
+                 writer: str = "journal"):
         if version is None:
             from repro import __version__ as version
         self.root = Path(root)
         self.version = str(version)
-        self.fsync = bool(fsync)
-        self._loaded: dict[str, dict[str, Any]] = {}
-        self._handles: dict[str, IO[str]] = {}
+        self.writer = str(writer)
+        self.segments_dir = self.root / "segments"
+        self.quarantine_dir = self.root / "quarantine"
+        #: per figure, per file: (inode, bytes consumed, lines consumed)
+        self._tails: dict[str, dict[Path, tuple[int, int, int]]] = {}
+        #: per figure: last-record-wins merge of every writer's records
+        self._merged: dict[str, dict[str, dict]] = {}
+        self._quarantined: set[tuple[str, int, str]] = set()
+        self._handles: dict[str, IO[bytes]] = {}
 
-    def path(self, figure: str) -> Path:
-        """The JSONL file backing one figure's checkpoints."""
-        return self.root / f"{figure}.journal.jsonl"
+    # -- layout --------------------------------------------------------
+    def path(self, figure: str, writer: str | None = None) -> Path:
+        """One writer's append-only file for ``figure`` (default: ours)."""
+        return self.segments_dir / f"{figure}.{writer or self.writer}.seg.jsonl"
 
-    def quarantine_path(self, figure: str) -> Path:
-        """Where corrupted records from one figure's journal end up."""
-        return self.root / "quarantine" / f"{figure}.quarantine.jsonl"
+    def paths(self, figure: str) -> list[Path]:
+        """Every writer's file for ``figure``, a compacted one included."""
+        return sorted(self.segments_dir.glob(f"{figure}.*.seg.jsonl"))
+
+    def quarantine_path(self, writer: str | None = None) -> Path:
+        """Where a reader's quarantined lines go (default: ours)."""
+        return self.quarantine_dir / f"{writer or self.writer}.quarantine.jsonl"
 
     # -- reading -------------------------------------------------------
-    def _quarantine(self, figure: str, lineno: int, raw: str, why: str) -> None:
-        """Preserve one corrupted journal line for post-mortem, never trust it."""
-        qpath = self.quarantine_path(figure)
+    def _quarantine(self, source: Path, lineno: int, raw: str, why: str) -> None:
+        """Preserve one bad line for post-mortem (once per store), never
+        trust it."""
+        key = (source.name, lineno, raw)
+        if key in self._quarantined:
+            return  # re-read after compaction: already preserved
+        self._quarantined.add(key)
+        qpath = self.quarantine_path()
         qpath.parent.mkdir(parents=True, exist_ok=True)
         with qpath.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(
-                {"source": self.path(figure).name, "line": lineno,
-                 "why": why, "raw": raw},
+                {"source": source.name, "line": lineno, "why": why,
+                 "raw": raw},
                 separators=(",", ":"),
             ) + "\n")
         ins = _rt.ACTIVE
         if ins is not None:
             ins.count("repro_journal_quarantined_total")
 
-    def _records(self, figure: str) -> dict[str, Any]:
-        cached = self._loaded.get(figure)
-        if cached is not None:
-            return cached
-        path = self.path(figure)
-        text = path.read_text() if path.exists() else ""
-        records = load_records_text(
-            text,
-            on_bad_line=lambda lineno, raw, why: self._quarantine(
-                figure, lineno, raw, why
-            ),
-        )
-        self._loaded[figure] = records
-        return records
+    def records(self, figure: str) -> dict[str, dict]:
+        """The last-record-wins view ``{fingerprint: record}`` of every
+        writer's file, after absorbing the lines completed since the last
+        call.
+
+        Only newline-terminated data is consumed, so a writer's in-flight
+        or torn last line stays invisible; a file replaced or truncated
+        underneath (compaction) is re-read from the start.  Bytes decode
+        with replacement, so a line that is not UTF-8 is quarantined
+        instead of raising.
+        """
+        tails = self._tails.setdefault(figure, {})
+        merged = self._merged.setdefault(figure, {})
+        new, consumed = 0, False
+        for path in self.paths(figure):
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                continue
+            ino, off, lines = tails.get(path, (st.st_ino, 0, 0))
+            if ino != st.st_ino or st.st_size < off:
+                off, lines = 0, 0
+            if st.st_size == off:
+                continue
+            with open(path, "rb") as fh:
+                fh.seek(off)
+                chunk = fh.read(st.st_size - off)
+            end = chunk.rfind(b"\n") + 1
+            if not end:
+                continue  # no complete new line yet
+            text = chunk[:end].decode("utf-8", errors="replace")
+            tails[path] = (st.st_ino, off + end, lines + text.count("\n"))
+            found = load_records_text(
+                text,
+                on_bad_line=lambda n, raw, why, p=path, base=lines:
+                    self._quarantine(p, base + n, raw, why),
+            )
+            merged.update(found)
+            new += len(found)
+            consumed = True
+        ins = _rt.ACTIVE
+        if consumed and ins is not None:
+            with ins.span("segment_merge", figure=figure, records=new,
+                          total=len(merged)):
+                pass
+        return merged
 
     def lookup(self, figure: str, args: tuple) -> tuple[bool, Any]:
         """``(hit, value)`` for one point; the value is bit-exact."""
-        rec = self._records(figure).get(
+        rec = self.records(figure).get(
             fingerprint_point(figure, args, self.version)
         )
         if rec is None:
@@ -397,87 +409,96 @@ class SweepJournal:
         return True, decode_value(rec["value"])
 
     # -- writing -------------------------------------------------------
-    def record(
-        self,
-        figure: str,
-        args: tuple,
-        *,
-        index: int,
-        value: Any,
-        status: str = "ok",
-        attempts: int = 1,
-        owner: str | None = None,
-        generation: int | None = None,
-    ) -> None:
-        """Append one completed point, CRC-sealed and fsync'd."""
+    def _handle(self, figure: str) -> IO[bytes]:
+        fh = self._handles.get(figure)
+        if fh is None:
+            path = self.path(figure)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = self._handles[figure] = open(path, "a+b")
+            size = fh.seek(0, os.SEEK_END)
+            if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+                fh.write(b"\n")  # a killed writer's torn tail: new line
+        return fh
+
+    def record(self, figure: str, args: tuple, *, index: int, value: Any,
+               status: str = "ok", attempts: int = 1,
+               owner: str | None = None, generation: int | None = None,
+               tear: bool = False) -> None:
+        """Append one completed point to our file, CRC-sealed and fsync'd.
+
+        ``tear`` is the ``torn-segment`` drill: a torn half-record line
+        follows the record, and every reader must quarantine it.
+        """
         ins = _rt.ACTIVE
-        ctx = (
-            ins.span("checkpoint_write", figure=figure, index=index)
-            if ins is not None else nullcontext()
-        )
-        with ctx:
-            rec = make_record(
+        with nullcontext() if ins is None else ins.span(
+                "checkpoint_write", figure=figure, index=index):
+            line = record_line(make_record(
                 figure, args, version=self.version, index=index, value=value,
                 status=status, attempts=attempts, owner=owner,
                 generation=generation,
-            )
-            fh = self._handles.get(figure)
-            if fh is None:
-                self.root.mkdir(parents=True, exist_ok=True)
-                fh = self.path(figure).open("a", encoding="utf-8")
-                self._handles[figure] = fh
-            fh.write(record_line(rec) + "\n")
+            )) + "\n"
+            if tear:
+                line += '{"schema":"' + SCHEMA + '","fp":"torn-\n'
+            fh = self._handle(figure)
+            fh.write(line.encode("utf-8"))
             fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-            self._records(figure)[rec["fp"]] = rec
+            os.fsync(fh.fileno())
         if ins is not None:
             ins.count("repro_checkpoint_writes_total")
 
     # -- maintenance ---------------------------------------------------
-    def compact(self, figure: str | None = None) -> dict[str, int]:
-        """Rewrite journals down to one (the last) record per fingerprint.
+    def compact(self, figure: str | None = None) -> dict[str, tuple[int, int]]:
+        """Merge every writer's file for a figure into one merged file.
 
-        Returns ``{figure: records_dropped}`` for each journal touched.
-        The rewrite is durable — temp file, fsync, atomic rename — so a
-        crash mid-compaction leaves either the old or the new journal,
-        never a torn hybrid.  Open append handles are closed first (the
-        next :meth:`record` reopens against the compacted file).
+        Returns ``{figure: (kept, dropped)}``: the records in the merged
+        ``<figure>.merged.seg.jsonl`` and the lines not carried over
+        (superseded records, and bad lines, which are quarantined before
+        their file is deleted; a torn last line, never a record, goes
+        with its file).  The merged file is durable (temp, fsync, atomic
+        rename) before any source is unlinked, so a crash mid-compaction
+        leaves at worst duplicate records, which last-record-wins
+        absorbs.  Open append handles are closed first.  Only safe while
+        nobody appends to the figure (the CLI exposes it as the offline
+        ``--checkpoint-gc``).
         """
         if figure is not None:
             figures = [figure]
         else:
-            figures = sorted(
-                p.name[: -len(".journal.jsonl")]
-                for p in self.root.glob("*.journal.jsonl")
-            )
+            figures = sorted({
+                p.name.split(".", 1)[0]
+                for p in self.segments_dir.glob("*.seg.jsonl")
+            })
         self.close()
-        dropped: dict[str, int] = {}
+        counts: dict[str, tuple[int, int]] = {}
         for fig in figures:
-            path = self.path(fig)
-            if not path.exists():
+            paths = self.paths(fig)
+            if not paths:
                 continue
-            total = sum(
-                1 for line in path.read_text().splitlines() if line.strip()
-            )
-            records = self._records(fig)
-            write_atomic(
-                path,
-                "".join(
+            self._tails.pop(fig, None)  # count every line from byte 0
+            self._merged.pop(fig, None)
+            records = self.records(fig)
+            read = sum(lines for _, _, lines in self._tails[fig].values())
+            target = self.path(fig, "merged")
+            tmp = target.with_name(target.name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(
                     record_line(rec) + "\n"
-                    for rec in sorted(
-                        records.values(),
-                        key=lambda r: (r.get("index", 0), r["fp"]),
-                    )
-                ),
-            )
-            self._loaded.pop(fig, None)  # reload from the compacted file
-            dropped[fig] = total - len(records)
-        return dropped
+                    for rec in sorted(records.values(),
+                                      key=lambda r: (r.get("index", 0), r["fp"]))
+                )
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+            for path in paths:
+                if path != target:
+                    path.unlink(missing_ok=True)
+            self._tails.pop(fig, None)
+            counts[fig] = (len(records), read - len(records))
+        return counts
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Close any open journal files (safe to call repeatedly)."""
+        """Close any open append files (safe to call repeatedly)."""
         for fh in self._handles.values():
             try:
                 fh.close()

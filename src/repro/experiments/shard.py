@@ -16,11 +16,12 @@ every failure mode degrades to duplicate work, never to wrong results:
   atomic compare-and-swap: exactly one stealer wins the rename) and
   claiming afresh with a bumped generation counter.
 * **Per-worker segments** (``segments/<figure>.<worker>.seg.jsonl``):
-  each worker appends completed points — the same CRC-sealed, fsync'd
-  record schema as the single-writer journal — to its *own* file, so
-  concurrent writers never interleave bytes.  Every worker incrementally
-  tails every segment (complete lines only) and merges last-record-wins
-  by fingerprint; corrupt lines are quarantined, never trusted.
+  each worker records completed points through its own
+  :class:`~repro.experiments.journal.SweepJournal` (``writer=`` its
+  worker id) — the same store, file layout and crash-consistency rules
+  as a ``--checkpoint-dir`` run.  Every worker tails every segment and
+  merges last-record-wins by fingerprint; corrupt lines are
+  quarantined, never trusted.
 * **A manifest** (``shard.json``): pins the namespace to one package
   version.  Mixing releases would silently miss every fingerprint, so a
   mismatch is a hard :class:`~repro.resilience.errors.ShardError`.
@@ -62,15 +63,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.experiments.executor import PointOutcome, SweepReport, run_attempts
-from repro.experiments.journal import (
-    decode_value,
-    fingerprint_point,
-    load_records_text,
-    make_record,
-    record_line,
-    write_atomic,
+from repro.experiments.executor import (
+    PointOutcome,
+    SweepReport,
+    run_attempts,
+    settle_recorded,
 )
+from repro.experiments.journal import SweepJournal, fingerprint_point
 from repro.obs import runtime as _rt
 from repro.resilience.errors import LeaseError, ShardError
 from repro.resilience.faults import SweepFaultPlan
@@ -196,11 +195,12 @@ class ShardNamespace:
         self.version = str(version)
         self.leases = self.root / "leases"
         self.graves = self.root / "graves"
-        self.segments_dir = self.root / "segments"
-        self.quarantine_dir = self.root / "quarantine"
         self.telemetry_dir = self.root / "telemetry"
+        #: the namespace's point store (offline gc reads through it;
+        #: each worker appends through its own, named after itself)
+        self.store = SweepJournal(self.root, version=self.version, writer="gc")
         for d in (self.root, self.leases, self.graves,
-                  self.segments_dir, self.quarantine_dir,
+                  self.store.segments_dir, self.store.quarantine_dir,
                   self.telemetry_dir):
             d.mkdir(parents=True, exist_ok=True)
         self._check_manifest()
@@ -236,65 +236,31 @@ class ShardNamespace:
     def lease_path(self, figure: str, fp: str) -> Path:
         return self.leases / f"{figure}.{fp[:32]}.lease.json"
 
-    def segment_path(self, figure: str, worker: str) -> Path:
-        return self.segments_dir / f"{figure}.{worker}.seg.jsonl"
-
-    def segment_paths(self, figure: str) -> list[Path]:
-        return sorted(self.segments_dir.glob(f"{figure}.*.seg.jsonl"))
-
-    def quarantine_path(self, worker: str) -> Path:
-        return self.quarantine_dir / f"{worker}.quarantine.jsonl"
-
     def telemetry_path(self, worker: str) -> Path:
         return self.telemetry_dir / f"{worker}.tel.jsonl"
 
     # -- maintenance ---------------------------------------------------
-    def gc(self, figure: str | None = None) -> dict[str, int]:
-        """Compact segments to one record per fingerprint; drop dead state.
+    def gc(self, figure: str | None = None) -> dict[str, tuple[int, int]]:
+        """Compact the segments of finished sweeps; drop dead lease state.
 
-        For each figure (all of them by default): merge every segment
-        last-record-wins, rewrite the merge as a single durable
-        ``<figure>.merged.seg.jsonl`` (temp + fsync + atomic rename),
-        delete the per-worker segments it replaces, and delete lease
-        files and graves for fingerprints that have a record — finished
-        points need no coordination state.  Returns ``{figure: records}``
-        for each figure compacted.
+        :meth:`SweepJournal.compact <repro.experiments.journal.SweepJournal.compact>`
+        merges each figure's segments (all figures by default) into one
+        ``<figure>.merged.seg.jsonl``, quarantining bad lines first; then
+        the lease files of fingerprints that have a record and the
+        figure's graves are deleted — finished points need no
+        coordination state.  Returns ``{figure: (kept, dropped)}``.
 
         Only safe while no worker is actively sweeping that figure (the
         CLI exposes it as ``--checkpoint-gc``, an offline maintenance
         step).
         """
-        if figure is not None:
-            figures = [figure]
-        else:
-            figures = sorted({
-                p.name.split(".", 1)[0]
-                for p in self.segments_dir.glob("*.seg.jsonl")
-            })
-        kept: dict[str, int] = {}
-        for fig in figures:
-            paths = self.segment_paths(fig)
-            if not paths:
-                continue
-            merged: dict[str, dict] = {}
-            for path in paths:
-                merged.update(load_records_text(path.read_text()))
-            out = self.segment_path(fig, "merged")
-            write_atomic(out, "".join(
-                record_line(rec) + "\n"
-                for rec in sorted(
-                    merged.values(), key=lambda r: (r.get("index", 0), r["fp"])
-                )
-            ))
-            for path in paths:
-                if path != out:
-                    path.unlink(missing_ok=True)
-            for fp in merged:
+        counts = self.store.compact(figure)
+        for fig in counts:
+            for fp in self.store.records(fig):
                 self.lease_path(fig, fp).unlink(missing_ok=True)
             for grave in self.graves.glob(f"{fig}.*"):
                 grave.unlink(missing_ok=True)
-            kept[fig] = len(merged)
-        return kept
+        return counts
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +323,9 @@ class ShardExecutor:
         self.worker_id = _sanitize(
             worker_id if worker_id is not None else default_worker_id()
         )
+        #: this worker's point store: appends to its own segment, merges all
+        self.store = SweepJournal(self.ns.root, version=self.ns.version,
+                                  writer=self.worker_id)
         self.lease_ttl = float(lease_ttl)
         self.poll = float(poll)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -372,17 +341,12 @@ class ShardExecutor:
         self._held_lock = threading.Lock()
         self._hb_stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
-        self._segment_fh = None
         self._tel_writer = None  # lazily-opened TelemetryWriter
         #: fleet-progress counters the heartbeat snapshots (ints/floats
         #: only — GIL-atomic reads, written solely by the map thread)
         self._tel_counts = {"computed": 0, "merged": 0, "stolen": 0,
                             "failed": 0, "idle": 0.0}
         self._shipped_spans: set[int] = set()
-        #: per-figure merge state: (offsets by path, merged records)
-        self._offsets: dict[str, dict[Path, int]] = {}
-        self._merged: dict[str, dict[str, dict]] = {}
-        self._quarantined: set[tuple[str, int]] = set()
         self._steal_seq = 0
 
     # -- lease protocol ------------------------------------------------
@@ -606,97 +570,6 @@ class ShardExecutor:
             self._held.pop(lease.fp, None)
         self.release(lease)
 
-    # -- segment writing -----------------------------------------------
-    def _append_segment(self, figure: str, rec: dict) -> None:
-        path = self.ns.segment_path(figure, self.worker_id)
-        if self._segment_fh is None or self._segment_fh.name != str(path):
-            if self._segment_fh is not None:
-                self._segment_fh.close()
-            self._segment_fh = path.open("a", encoding="utf-8")
-        self._segment_fh.write(record_line(rec) + "\n")
-        self._segment_fh.flush()
-        os.fsync(self._segment_fh.fileno())
-        if self.faults.tear_segment:
-            # Drill: append a torn half-record; every reader must
-            # quarantine it, none may crash or trust it.
-            self._segment_fh.write('{"schema":"' + "repro-sweep-journal/1"
-                                   + '","fp":"torn-')
-            self._segment_fh.write("\n")
-            self._segment_fh.flush()
-            os.fsync(self._segment_fh.fileno())
-        ins = _rt.ACTIVE
-        if ins is not None:
-            ins.count("repro_checkpoint_writes_total")
-
-    # -- segment merging -----------------------------------------------
-    def _quarantine(self, source: Path, lineno: int, raw: str, why: str) -> None:
-        key = (str(source), zlib.crc32(raw.encode("utf-8")))
-        if key in self._quarantined:
-            return
-        self._quarantined.add(key)
-        qpath = self.ns.quarantine_path(self.worker_id)
-        with qpath.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(
-                {"source": source.name, "line": lineno, "why": why,
-                 "raw": raw},
-                separators=(",", ":"),
-            ) + "\n")
-        ins = _rt.ACTIVE
-        if ins is not None:
-            ins.count("repro_journal_quarantined_total")
-
-    def refresh(self, figure: str) -> int:
-        """Tail every segment incrementally; returns new records absorbed.
-
-        Only newline-terminated data is consumed (a peer's in-flight
-        append stays invisible until its newline lands); a segment that
-        *shrank* (offline compaction) is re-read from the start.
-        """
-        offsets = self._offsets.setdefault(figure, {})
-        merged = self._merged.setdefault(figure, {})
-        new = 0
-        read_any = False
-        for path in self.ns.segment_paths(figure):
-            try:
-                size = path.stat().st_size
-            except FileNotFoundError:
-                continue
-            off = offsets.get(path, 0)
-            if size < off:
-                off = 0  # truncated/compacted underneath us: re-read
-            if size == off:
-                continue
-            with open(path, "rb") as fh:
-                fh.seek(off)
-                chunk = fh.read(size - off)
-            nl = chunk.rfind(b"\n")
-            if nl < 0:
-                continue  # no complete new line yet
-            text = chunk[: nl + 1].decode("utf-8", errors="replace")
-            offsets[path] = off + nl + 1
-            read_any = True
-            # Line numbers are chunk-relative on incremental reads;
-            # quarantine entries carry the raw line, which is what counts.
-            found = load_records_text(
-                text,
-                on_bad_line=lambda lineno, raw, why, p=path:
-                    self._quarantine(p, lineno, raw, why),
-            )
-            new += len(found)
-            merged.update(found)
-        if read_any:
-            ins = _rt.ACTIVE
-            if ins is not None:
-                with ins.span("segment_merge", figure=figure,
-                              records=new, total=len(merged)):
-                    pass
-        return new
-
-    def merged(self, figure: str) -> dict[str, dict]:
-        """The current last-record-wins view across every segment."""
-        self.refresh(figure)
-        return self._merged.setdefault(figure, {})
-
     # -- point computation ---------------------------------------------
     def _finish_point(self, figure: str, args: tuple, lease: Lease,
                       out: PointOutcome, ok: bool, value: Any) -> None:
@@ -706,13 +579,11 @@ class ShardExecutor:
             # lost lease still records — the thief's value is
             # bit-identical, last wins.
             self.renew(lease)
-            self._append_segment(figure, make_record(
-                figure, args, version=self.ns.version,
-                index=out.index, value=value,
-                status="ok", attempts=out.attempts,
-                owner=self.worker_id, generation=lease.generation,
-                seconds=out.seconds,
-            ))
+            self.store.record(
+                figure, args, index=out.index, value=value,
+                attempts=out.attempts, owner=self.worker_id,
+                generation=lease.generation, tear=self.faults.tear_segment,
+            )
             out.owner = self.worker_id
             out.generation = lease.generation
             out.steals = max(0, lease.generation - 1)
@@ -778,30 +649,15 @@ class ShardExecutor:
         done: set[int] = set()
         local_failed: set[int] = set()
 
-        def settle_from(merged: dict[str, dict], *, initial: bool) -> None:
-            for i in range(len(calls)):
-                if i in done:
-                    continue
-                rec = merged.get(fps[i])
-                if rec is None:
-                    continue
-                results[i] = decode_value(rec["value"])
-                out = report.points[i]
-                gen = int(rec.get("generation", 1) or 1)
-                out.owner = rec.get("owner", "") or ""
-                out.generation = gen
-                out.steals = max(0, gen - 1)
-                out.seconds = float(rec.get("seconds", 0.0) or 0.0)
-                if initial:
-                    out.status = "resumed"
-                    if ins is not None:
-                        ins.count("repro_points_resumed_total")
-                else:
-                    out.status = "peer"
-                done.add(i)
+        def settle(status: str) -> None:
+            done.update(settle_recorded(
+                self.store.records(figure), fps,
+                [i for i in range(len(calls)) if i not in done],
+                report, results, status=status,
+            ))
             self._tel_counts["merged"] = len(done)
 
-        settle_from(self.merged(figure), initial=True)
+        settle("resumed")
 
         tick = 0
         try:
@@ -848,7 +704,7 @@ class ShardExecutor:
                         local_failed.add(i)
                     progressed = True
                     break  # refresh the merged view between points
-                settle_from(self.merged(figure), initial=False)
+                settle("peer")
                 if progressed or len(done) >= len(calls):
                     continue
                 # Nothing claimable: either peers hold live leases on
@@ -932,12 +788,7 @@ class ShardExecutor:
         """Release leases, stop the heartbeat, close segment + telemetry."""
         self._stop_heartbeat()
         self._release_held()
-        if self._segment_fh is not None:
-            try:
-                self._segment_fh.close()
-            except OSError:  # pragma: no cover - best-effort close
-                pass
-            self._segment_fh = None
+        self.store.close()
         if self._tel_writer is not None:
             self._tel_writer.close()
             self._tel_writer = None

@@ -41,7 +41,6 @@ from repro.serve.admission import (
 from repro.serve.cache import (
     DEFAULT_CACHE_BYTES,
     ModelCache,
-    ambient_cache,
     model_fingerprint,
 )
 from repro.serve.client import ServeClient
@@ -57,7 +56,6 @@ __all__ = [
     "ServeClient",
     "ShedError",
     "SolverService",
-    "ambient_cache",
     "model_fingerprint",
     "solve_many",
 ]

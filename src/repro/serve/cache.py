@@ -38,7 +38,6 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.transient import TransientModel
@@ -50,7 +49,6 @@ from repro.obs import runtime as _rt
 __all__ = [
     "DEFAULT_CACHE_BYTES",
     "ModelCache",
-    "ambient_cache",
     "model_fingerprint",
 ]
 
@@ -292,34 +290,3 @@ class ModelCache:
                 "evictions": self._evictions,
                 "build_seconds": round(self._build_seconds, 6),
             }
-
-    def activate(self):
-        """Install as the ambient process cache (context manager).
-
-        While active, :func:`repro.experiments._sweeps._swept_model`
-        (and anything else consulting :func:`ambient_cache`) builds its
-        models through this cache, so repeated sweeps in one process —
-        e.g. behind a long-lived service — share warm models.
-        """
-        return _activate(self)
-
-
-# ----------------------------------------------------------------------
-# Ambient (process-local) cache, mirroring repro.obs.runtime.ACTIVE.
-_AMBIENT: ModelCache | None = None
-
-
-def ambient_cache() -> ModelCache | None:
-    """The process-local ambient model cache, or ``None`` (the default)."""
-    return _AMBIENT
-
-
-@contextmanager
-def _activate(cache: ModelCache):
-    global _AMBIENT
-    prev = _AMBIENT
-    _AMBIENT = cache
-    try:
-        yield cache
-    finally:
-        _AMBIENT = prev

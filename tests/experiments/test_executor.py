@@ -78,8 +78,8 @@ class TestFigureDeterminism:
     def test_fig03_identical_at_any_jobs(self):
         from repro.experiments import fig03
 
-        serial = fig03.run(jobs=1)
-        pooled = fig03.run(jobs=2)
+        serial = fig03.run(executor=SweepExecutor(jobs=1))
+        pooled = fig03.run(executor=SweepExecutor(jobs=2))
         assert sorted(serial.series) == sorted(pooled.series)
         for name in serial.series:
             assert np.array_equal(serial.series[name], pooled.series[name])
@@ -87,8 +87,8 @@ class TestFigureDeterminism:
     def test_fig14_identical_at_any_jobs(self):
         from repro.experiments import fig14
 
-        serial = fig14.run(jobs=1)
-        pooled = fig14.run(jobs=3)
+        serial = fig14.run(executor=SweepExecutor(jobs=1))
+        pooled = fig14.run(executor=SweepExecutor(jobs=3))
         for name in serial.series:
             assert np.array_equal(serial.series[name], pooled.series[name])
 

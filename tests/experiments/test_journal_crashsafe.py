@@ -4,12 +4,14 @@ The contract (see :mod:`repro.experiments.journal`):
 
 * a journal truncated at **any byte offset** inside its last record —
   the exact state a power loss or SIGKILL mid-append leaves behind —
-  loads every earlier record and silently drops the torn tail;
-* a torn *middle* record (partial flush glued to a later append) or a
-  CRC mismatch (bit rot) is quarantined — preserved for post-mortem,
-  never trusted, never fatal;
-* compaction rewrites last-record-wins durably (temp + fsync + atomic
-  rename), so a crash mid-compaction leaves old or new, never a hybrid.
+  loads every earlier record and silently drops the torn tail, and the
+  next append starts a fresh line instead of gluing onto the torn bytes;
+* a torn *middle* record (partial flush glued to a later append), a
+  CRC mismatch (bit rot) or a byte that is not UTF-8 is quarantined —
+  preserved for post-mortem, never trusted, never fatal;
+* compaction merges every writer's file last-record-wins durably (temp
+  + fsync + atomic rename), so a crash mid-compaction leaves old or new,
+  never a hybrid.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class TestTornTail:
                 # it is fine, returning a wrong value is not.
                 assert val2.tobytes() == _value(2).tobytes()
             # A torn tail is benign: nothing may be quarantined for it.
-            assert not fresh.quarantine_path("figX").exists(), (
+            assert not fresh.quarantine_path().exists(), (
                 f"tear at byte {cut} was quarantined instead of skipped"
             )
             fresh.close()
@@ -90,6 +92,13 @@ class TestTornTail:
         hit, val = fresh.lookup("figX", (1.0,))
         assert hit and val.tobytes() == _value(1).tobytes()
         fresh.close()
+        # The re-run's record starts its own line: the next resume finds
+        # it instead of quarantining it glued to the torn bytes.
+        again = _journal(tmp_path)
+        hit, val = again.lookup("figX", (1.0,))
+        assert hit and val.tobytes() == _value(1).tobytes()
+        assert again.lookup("figX", (0.0,))[0]
+        again.close()
 
 
 # ----------------------------------------------------------------------
@@ -106,11 +115,30 @@ class TestQuarantine:
         assert fresh.lookup("figX", (0.0,))[0]
         assert not fresh.lookup("figX", (1.0,))[0]
         assert fresh.lookup("figX", (2.0,))[0]
-        qpath = fresh.quarantine_path("figX")
+        qpath = fresh.quarantine_path()
         assert qpath.exists()
         (entry,) = [json.loads(l) for l in qpath.read_text().splitlines()]
         assert entry["why"] == "unparsable"
-        assert entry["source"] == "figX.journal.jsonl"
+        assert entry["source"] == "figX.journal.seg.jsonl"
+        assert entry["line"] == 2
+        fresh.close()
+
+    def test_non_utf8_byte_is_quarantined_not_fatal(self, tmp_path):
+        j = _journal(tmp_path)
+        _fill(j, n=3)
+        path = j.path("figX")
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"\n") + 10] = 0xFF  # one flipped byte in record 1
+        path.write_bytes(bytes(raw))
+
+        fresh = _journal(tmp_path)
+        assert fresh.lookup("figX", (0.0,))[0]
+        assert not fresh.lookup("figX", (1.0,))[0], "corrupt record trusted"
+        assert fresh.lookup("figX", (2.0,))[0]
+        (entry,) = [json.loads(l) for l in
+                    fresh.quarantine_path().read_text().splitlines()]
+        assert entry["line"] == 2
+        assert fresh.compact("figX") == {"figX": (2, 1)}
         fresh.close()
 
     def test_crc_mismatch_is_quarantined(self, tmp_path):
@@ -128,7 +156,7 @@ class TestQuarantine:
         assert not fresh.lookup("figX", (0.0,))[0], "corrupt record trusted"
         assert fresh.lookup("figX", (1.0,))[0]
         entries = [json.loads(l) for l in
-                   fresh.quarantine_path("figX").read_text().splitlines()]
+                   fresh.quarantine_path().read_text().splitlines()]
         assert [e["why"] for e in entries] == ["crc-mismatch"]
         fresh.close()
 
@@ -140,7 +168,7 @@ class TestQuarantine:
             fh.write('{"schema": "someone-elses/9", "fp": "x"}\n')
         fresh = _journal(tmp_path)
         assert fresh.lookup("figX", (0.0,))[0]
-        assert not fresh.quarantine_path("figX").exists()
+        assert not fresh.quarantine_path().exists()
         fresh.close()
 
 
@@ -193,9 +221,9 @@ class TestCompaction:
         path = j.path("figX")
         assert len(path.read_text().splitlines()) == 9
         j2 = _journal(tmp_path)
-        dropped = j2.compact()
-        assert dropped == {"figX": 6}
-        assert len(path.read_text().splitlines()) == 3
+        assert j2.compact() == {"figX": (3, 6)}
+        assert j2.paths("figX") == [j2.path("figX", "merged")]
+        assert len(j2.path("figX", "merged").read_text().splitlines()) == 3
         for i in range(3):
             hit, val = j2.lookup("figX", (float(i),))
             assert hit and val.tobytes() == _value(i).tobytes()
@@ -207,7 +235,7 @@ class TestCompaction:
         _fill(j, n=2, figure="figA")
         _fill(j, n=1, figure="figB")
         j2 = _journal(tmp_path)
-        assert j2.compact("figA") == {"figA": 2}
+        assert j2.compact("figA") == {"figA": (2, 2)}
         # Appending after compaction reopens cleanly.
         j2.record("figA", (9.0,), index=9, value=_value(9))
         j2.close()
@@ -216,8 +244,14 @@ class TestCompaction:
         assert j3.lookup("figB", (0.0,))[0]
         j3.close()
 
-    def test_no_fsync_mode_still_records(self, tmp_path):
-        j = _journal(tmp_path, fsync=False)
-        j.record("figX", (1.0,), index=0, value=_value(1))
-        j.close()
-        assert _journal(tmp_path).lookup("figX", (1.0,))[0]
+    def test_compact_merges_every_writer(self, tmp_path):
+        a = _journal(tmp_path, writer="a")
+        b = _journal(tmp_path, writer="b")
+        _fill(a, n=2)
+        _fill(b, n=3)
+        j = _journal(tmp_path)
+        assert j.compact() == {"figX": (3, 2)}
+        assert [p.name for p in j.paths("figX")] == ["figX.merged.seg.jsonl"]
+        for i in range(3):
+            hit, val = _journal(tmp_path).lookup("figX", (float(i),))
+            assert hit and val.tobytes() == _value(i).tobytes()

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.journal import (
+    SweepJournal,
     fingerprint_point,
     load_records_text,
     make_record,
@@ -306,7 +307,7 @@ class TestShardDrills:
         r2 = w2.map(_arr, CALLS, label="figX")
         _assert_bit_identical(r1)
         _assert_bit_identical(r2)
-        merged = w2.merged("figX")
+        merged = w2.store.records("figX")
         assert len(merged) == 6
         assert not list(w1.ns.leases.glob("*")), "phantom claims hold no files"
         w1.close(), w2.close()
@@ -349,11 +350,13 @@ class TestShardDrills:
         r2 = w2.map(_arr, CALLS, label="figX")
         _assert_bit_identical(r2)
         assert w2.report.resumed == 6
-        qfiles = list(w2.ns.quarantine_dir.glob("w2.quarantine.jsonl"))
-        assert qfiles, "merge must quarantine the torn lines"
-        entries = [json.loads(l) for l in
-                   qfiles[0].read_text().splitlines()]
+        qpath = w2.store.quarantine_path()
+        assert qpath.name == "w2.quarantine.jsonl"
+        assert qpath.exists(), "merge must quarantine the torn lines"
+        entries = [json.loads(l) for l in qpath.read_text().splitlines()]
         assert all(e["why"] == "unparsable" for e in entries)
+        # Each torn line is quarantined exactly once per reader.
+        assert sorted(e["line"] for e in entries) == [2, 4, 6, 8, 10, 12]
         w1.close(), w2.close()
 
     def test_sigkill_mid_lease_then_survivor_steals(self, tmp_path):
@@ -386,7 +389,7 @@ class TestShardDrills:
         stolen = [p for p in rep.points if p.status == "stolen"]
         assert stolen[0].owner == "survivor" and stolen[0].generation == 2
         # No duplicate, missing, or corrupted point in the merged view.
-        merged = survivor.merged("figX")
+        merged = survivor.store.records("figX")
         assert len(merged) == len(CALLS)
         assert sorted(r["index"] for r in merged.values()) == list(range(6))
         survivor.close()
@@ -439,10 +442,10 @@ class TestMergeAndGC:
                             value=_arr(1.0), owner="a", generation=1)
         rec_b = make_record("figX", (1.0,), version="test", index=0,
                             value=_arr(1.0), owner="b", generation=2)
-        ns.segment_path("figX", "a").write_text(record_line(rec_a) + "\n")
-        ns.segment_path("figX", "b").write_text(record_line(rec_b) + "\n")
+        ns.store.path("figX", "a").write_text(record_line(rec_a) + "\n")
+        ns.store.path("figX", "b").write_text(record_line(rec_b) + "\n")
         w = _worker(tmp_path, "w1")
-        merged = w.merged("figX")
+        merged = w.store.records("figX")
         assert len(merged) == 1
         fp = fingerprint_point("figX", (1.0,), "test")
         assert merged[fp]["owner"] in ("a", "b")  # identical values anyway
@@ -452,17 +455,16 @@ class TestMergeAndGC:
         ns = ShardNamespace(tmp_path / "ns", version="test")
         rec = make_record("figX", (1.0,), version="test", index=0,
                           value=_arr(1.0))
-        seg = ns.segment_path("figX", "a")
+        seg = ns.store.path("figX", "a")
         seg.write_text(record_line(rec) + "\n" + '{"half')
         w = _worker(tmp_path, "w1")
-        assert len(w.merged("figX")) == 1  # the torn tail stays invisible
+        assert len(w.store.records("figX")) == 1  # torn tail stays invisible
         # Completing the line makes the second record appear.
         rec2 = make_record("figX", (2.0,), version="test", index=1,
                            value=_arr(2.0))
         with seg.open("a") as fh:
             fh.write('-torn"}\n' + record_line(rec2) + "\n")
-        w.refresh("figX")
-        assert len(w.merged("figX")) == 2
+        assert len(w.store.records("figX")) == 2
         w.close()
 
     def test_gc_compacts_to_one_segment_and_drops_leases(self, tmp_path):
@@ -474,9 +476,8 @@ class TestMergeAndGC:
             Lease(figure="figX", fp="0" * 64, index=9, owner="dead",
                   generation=1, deadline=0.0).to_json())
         (w1.ns.graves / "figX.junk.json").write_text("{}")
-        kept = w1.ns.gc()
-        assert kept == {"figX": 6}
-        segs = w1.ns.segment_paths("figX")
+        assert w1.ns.gc() == {"figX": (6, 0)}
+        segs = w1.ns.store.paths("figX")
         assert [p.name for p in segs] == ["figX.merged.seg.jsonl"]
         assert not list(w1.ns.graves.glob("figX.*"))
         # The compacted namespace still resumes bit-identically.
@@ -485,11 +486,50 @@ class TestMergeAndGC:
         assert w2.report.resumed == 6
         w2.close()
 
+    def _gc_corrupted(self, tmp_path, corrupt):
+        """Sweep, corrupt line 3 of the segment, gc; returns the
+        quarantine entries and checks the merged file holds the rest."""
+        w1 = _worker(tmp_path, "w1")
+        w1.map(_arr, CALLS, label="figX")
+        w1.close()
+        seg = w1.store.path("figX")
+        lines = seg.read_bytes().splitlines(keepends=True)
+        bad = json.loads(lines[2])["index"]
+        lines[2] = corrupt(lines[2])
+        seg.write_bytes(b"".join(lines))
+        assert w1.ns.gc() == {"figX": (5, 1)}
+        merged = SweepJournal(w1.ns.root, version="test")
+        assert [p.name for p in merged.paths("figX")] == [
+            "figX.merged.seg.jsonl"]
+        for i, args in enumerate(CALLS):
+            hit, val = merged.lookup("figX", args)
+            assert hit == (i != bad)
+            if hit:
+                assert val.tobytes() == _arr(*args).tobytes()
+        return [json.loads(l) for l in
+                w1.ns.store.quarantine_path().read_text().splitlines()]
+
+    def test_gc_quarantines_a_crc_mismatch_before_deleting(self, tmp_path):
+        def bit_rot(line):
+            rec = json.loads(line)
+            rec["index"] = 99  # valid JSON, CRC no longer matches
+            return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
+
+        (entry,) = self._gc_corrupted(tmp_path, bit_rot)
+        assert entry["why"] == "crc-mismatch"
+        assert entry["line"] == 3
+        assert json.loads(entry["raw"])["index"] == 99
+
+    def test_gc_survives_a_non_utf8_byte(self, tmp_path):
+        (entry,) = self._gc_corrupted(
+            tmp_path, lambda line: line[:10] + b"\xff" + line[11:])
+        assert entry["why"] == "unparsable"
+
     def test_records_carry_crc_and_provenance(self, tmp_path):
         w1 = _worker(tmp_path, "w1")
         w1.map(_arr, CALLS[:1], label="figX")
         w1.close()
-        seg = w1.ns.segment_path("figX", "w1")
+        seg = w1.store.path("figX")
         records = load_records_text(seg.read_text())
         (rec,) = records.values()
         assert rec["owner"] == "w1" and rec["generation"] == 1

@@ -118,22 +118,6 @@ class TestExecutorFanout:
             assert a.fingerprint == b.fingerprint
             assert a.deduped == b.deduped
 
-    def test_inline_executor_model_cache_reuses_models(self):
-        """SweepExecutor(model_cache=) makes sweep points share builds."""
-        from repro.experiments._sweeps import _point_interdeparture
-        from repro.experiments.executor import SweepExecutor
-
-        cold = _point_interdeparture("central", "shared", 5, 30, 10.0,
-                                     BASE_APP)
-        cache = ModelCache()
-        with SweepExecutor(jobs=1, model_cache=cache) as ex:
-            calls = [("central", "shared", 5, 30, 10.0, BASE_APP)] * 3
-            results = ex.map(_point_interdeparture, calls, label="warm")
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 2
-        for r in results:
-            assert np.array_equal(r, cold)
-
 
 class TestConcurrency:
     def test_racing_solve_many_callers_share_one_build(self):
