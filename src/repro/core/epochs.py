@@ -25,12 +25,6 @@ from repro.resilience.errors import ConvergenceError
 __all__ = ["epoch_distribution", "epoch_distributions", "epoch_scvs"]
 
 
-def _level_B(model: TransientModel, k: int) -> np.ndarray:
-    # Supported accessor: unwraps guarded/faulted level backends instead of
-    # assuming the top wrapper exposes raw ``rates``/``P``.
-    return model.level_B(k)
-
-
 def _entrance_mix(x: np.ndarray) -> np.ndarray:
     """Clip away tiny negative components and renormalize to a proper mix.
 
@@ -70,7 +64,7 @@ def epoch_distribution(model: TransientModel, N: int, epoch: int) -> MatrixExpon
     # never O(N) work and memory for a single epoch.
     x = model.epoch_vector(N, epoch - 1)
     k = levels[epoch - 1]
-    return MatrixExponential(_entrance_mix(x), _level_B(model, k))
+    return MatrixExponential(_entrance_mix(x), model.level_B(k))
 
 
 def epoch_distributions(model: TransientModel, N: int) -> list[MatrixExponential]:
@@ -81,7 +75,7 @@ def epoch_distributions(model: TransientModel, N: int) -> list[MatrixExponential
     out = []
     for x, k in zip(vecs, levels):
         if k not in B_cache:
-            B_cache[k] = _level_B(model, k)
+            B_cache[k] = model.level_B(k)
         out.append(MatrixExponential(_entrance_mix(x), B_cache[k]))
     return out
 

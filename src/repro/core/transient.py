@@ -19,7 +19,7 @@ draining) of the paper's Figures 3–4 and 10–11.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +30,6 @@ from repro.network.spec import NetworkSpec
 from repro.obs import runtime as _rt
 from repro.obs.instrument import Instrumentation
 from repro.resilience.errors import SpectralFallbackError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.budget import Budget
-    from repro.resilience.guards import GuardConfig
 
 __all__ = ["TransientModel"]
 
@@ -48,16 +44,6 @@ class TransientModel:
     K:
         Maximum number of simultaneously active tasks (the population
         constraint Jackson networks cannot express).
-    guards:
-        Optional :class:`~repro.resilience.guards.GuardConfig`; when given,
-        every level's solve surface is wrapped in hot-path health checks
-        (NaN/inf detection, ``τ'_k ≥ 0``, epoch-vector stochasticity,
-        rcond at factorization).  ``None`` (the default) leaves the solver
-        byte-identical to the unguarded original.
-    budget:
-        Optional :class:`~repro.resilience.budget.Budget`; enforced by
-        prediction *before* the state spaces are enumerated, so an
-        over-large spec is rejected cheaply instead of discovered by OOM.
     instrument:
         Optional :class:`~repro.obs.Instrumentation` (or a bare
         :data:`~repro.obs.EpochCallback`): per-epoch callback invoked
@@ -87,7 +73,12 @@ class TransientModel:
     -----
     Construction cost is dominated by assembling the ``K`` sparse operator
     levels; each is cached, and the per-epoch work afterwards is one gemv
-    against the cached propagator regardless of ``N``.
+    against the cached propagator regardless of ``N``.  A model holds
+    only plain :class:`~repro.laqt.operators.LevelOperators`: health
+    guards and resource budgets belong to the degradation ladder
+    (:func:`~repro.resilience.fallback.solve_resilient`), and
+    :func:`~repro.resilience.budget.enforce_budget` prices a spec before
+    any model is built.
     """
 
     # Alternative backends construct without this __init__; class-level
@@ -105,8 +96,6 @@ class TransientModel:
         spec: NetworkSpec,
         K: int,
         *,
-        guards: "GuardConfig | None" = None,
-        budget: "Budget | None" = None,
         instrument: Instrumentation | Callable[[int, int, np.ndarray], None] | None = None,
         propagation: str = "propagator",
     ):
@@ -117,13 +106,8 @@ class TransientModel:
                 f"propagation must be one of {sorted(self._PROPAGATION_MODES)}, "
                 f"got {propagation!r}"
             )
-        if budget is not None:
-            from repro.resilience.budget import enforce_budget
-
-            enforce_budget(spec, int(K), budget)
         self._spec = spec
         self._K = int(K)
-        self._guards = guards
         self._propagation = propagation
         self.instrument = instrument
         self._automata = tuple(automaton_for(st) for st in spec.stations)
@@ -199,19 +183,15 @@ class TransientModel:
                 self._levels[k] = ops
                 ins.count("repro_levels_built_total")
                 ins.gauge("repro_level_dim", dim, k=k)
-                try:
-                    nnz = int(ops.P.nnz + ops.Q.nnz + ops.R.nnz)
-                except AttributeError:  # wrapped/faulted backends may hide P
-                    nnz = None
-                if nnz is not None:
-                    ins.gauge("repro_level_nnz", nnz, k=k)
-                    if sp is not None:
-                        sp.attrs["nnz"] = nnz
+                nnz = int(ops.P.nnz + ops.Q.nnz + ops.R.nnz)
+                ins.gauge("repro_level_nnz", nnz, k=k)
+                if sp is not None:
+                    sp.attrs["nnz"] = nnz
         return self._levels[k]
 
     def _build_level(self, k: int) -> LevelOperators:
         """Operator assembly hook (overridden by alternative backends)."""
-        ops = build_level(
+        return build_level(
             self._automata,
             self._spec.routing,
             self._spec.exit,
@@ -219,11 +199,6 @@ class TransientModel:
             self._spaces[k],
             self._spaces[k - 1],
         )
-        if self._guards is not None:
-            from repro.resilience.guards import GuardedLevel
-
-            return GuardedLevel(ops, self._guards)
-        return ops
 
     def level_dim(self, k: int) -> int:
         """State-space size ``D(k)``."""
@@ -409,15 +384,7 @@ class TransientModel:
         if self._propagation != "spectral" or self._spectral_fallback is not None:
             return None
         try:
-            accessor = getattr(top, "spectral_YR", None)
-            if accessor is None:
-                raise SpectralFallbackError(
-                    f"level backend {type(top).__name__} exposes no "
-                    "spectral surface",
-                    cause="unsupported-backend",
-                    level=getattr(top, "k", None),
-                )
-            return accessor()
+            return top.spectral_YR()
         except SpectralFallbackError as exc:
             self._note_spectral_fallback(exc)
             return None
@@ -557,17 +524,6 @@ class TransientModel:
         return x
 
     # -- cache-extraction surface (repro.serve) ------------------------
-    def _unwrap_level(self, ops, attr: str):
-        """First layer of a (possibly wrapped) level exposing ``attr``."""
-        while True:
-            fn = getattr(ops, attr, None)
-            if fn is not None:
-                return fn
-            inner = getattr(ops, "_ops", None)
-            if inner is None:
-                return None
-            ops = inner
-
     def cached_bytes(self) -> int:
         """Resident bytes of everything this model holds warm.
 
@@ -575,60 +531,30 @@ class TransientModel:
         over the built levels (operators, LU factors, propagators,
         spectral decompositions) plus the cached entrance vectors — the
         number the content-addressed model cache charges this model
-        against its byte budget.  Grows as lazy surfaces materialize;
-        wrapped level backends (guards, fault injection) are unwrapped to
-        the first layer that can account for itself, and levels that
-        cannot are counted as zero rather than guessed.
+        against its byte budget.  Grows as lazy surfaces materialize.
         """
-        total = 0
-        for ops in self._levels.values():
-            fn = self._unwrap_level(ops, "cached_bytes")
-            if fn is not None:
-                total += int(fn())
+        total = sum(int(ops.cached_bytes()) for ops in self._levels.values())
         for x in self._entrance.values():
             total += int(x.nbytes)
         return total
 
     def cache_info(self) -> dict:
         """Warm-state summary: per-level rows plus entrance bookkeeping."""
-        levels = []
-        for k in sorted(self._levels):
-            fn = self._unwrap_level(self._levels[k], "cache_info")
-            levels.append(fn() if fn is not None
-                          else {"level": k, "bytes": 0})
         return {
             "K": self._K,
             "propagation": self.effective_propagation,
             "levels_built": len(self._levels),
             "entrance_cached": len(self._entrance),
             "bytes": self.cached_bytes(),
-            "levels": levels,
+            "levels": [self._levels[k].cache_info() for k in sorted(self._levels)],
         }
 
     def level_B(self, k: int) -> np.ndarray:
-        """Dense epoch-phase generator ``B_k = M_k (I − P_k)``.
-
-        The supported accessor for :mod:`repro.core.epochs`: unwraps
-        guarded/faulted level backends down to the first layer exposing
-        raw ``rates``/``P`` instead of assuming the top wrapper does.
-        """
+        """Dense epoch-phase generator ``B_k = M_k (I − P_k)``."""
         import scipy.sparse as sparse
 
         ops = self.level(k)
-        while True:
-            rates = getattr(ops, "rates", None)
-            P = getattr(ops, "P", None)
-            if rates is not None and P is not None:
-                break
-            inner = getattr(ops, "_ops", None)
-            if inner is None:
-                raise AttributeError(
-                    f"level-{k} backend {type(ops).__name__} exposes neither "
-                    "rates/P nor a wrapped backend to unwrap"
-                )
-            ops = inner
-        dim = P.shape[0]
         return np.asarray(
-            (sparse.diags(np.asarray(rates, dtype=float))
-             @ (sparse.identity(dim, format="csr") - P)).toarray()
+            (sparse.diags(np.asarray(ops.rates, dtype=float))
+             @ (sparse.identity(ops.dim, format="csr") - ops.P)).toarray()
         )

@@ -24,7 +24,7 @@ reduced-space assembly in :mod:`repro.laqt.operators`.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 from itertools import product
@@ -33,10 +33,6 @@ from repro.core.transient import TransientModel
 from repro.laqt.operators import LevelOperators, _coo_to_csr
 from repro.network.spec import NetworkSpec
 from repro.obs.instrument import Instrumentation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.budget import Budget
-    from repro.resilience.guards import GuardConfig
 
 __all__ = ["FullProductModel"]
 
@@ -80,11 +76,9 @@ class FullProductModel(TransientModel):
     """Transient solver on the full Kronecker space (exponential networks).
 
     Same public interface as :class:`TransientModel` — including the
-    ``budget=`` and ``instrument=`` keywords — with exponentially more
-    states (``M^k`` per level instead of ``C(M+k−1, k)``).  It always runs
-    the default epoch engine.  The solve guards (``guards=``) are not
-    supported: they diagnose failures through the reduced-space automata,
-    which this backend does not build.
+    ``instrument=`` keyword — with exponentially more states (``M^k`` per
+    level instead of ``C(M+k−1, k)``).  It always runs the default epoch
+    engine.
     """
 
     def __init__(
@@ -92,8 +86,6 @@ class FullProductModel(TransientModel):
         spec: NetworkSpec,
         K: int,
         *,
-        guards: "GuardConfig | None" = None,
-        budget: "Budget | None" = None,
         instrument: Instrumentation | Callable[[int, int, np.ndarray], None] | None = None,
     ):
         for st in spec.stations:
@@ -104,24 +96,8 @@ class FullProductModel(TransientModel):
                 )
         if K < 1 or int(K) != K:
             raise ValueError(f"K must be a positive integer, got {K!r}")
-        if guards is not None:
-            raise ValueError(
-                "FullProductModel does not support guards=; solve guards "
-                "diagnose through the reduced-space automata (use "
-                "TransientModel for a guarded solve)"
-            )
-        if budget is not None:
-            from repro.resilience.budget import enforce_budget
-
-            enforce_budget(
-                spec,
-                int(K),
-                budget,
-                dims=[spec.n_stations**k for k in range(int(K) + 1)],
-            )
         self._spec = spec
         self._K = int(K)
-        self._guards = None
         self.instrument = instrument
         self._automata = ()  # unused by this backend
         self._spaces = [_FullSpace(spec.n_stations, k) for k in range(self._K + 1)]
@@ -133,9 +109,6 @@ class FullProductModel(TransientModel):
         )
 
     # ------------------------------------------------------------------
-    def _station_rate(self, station: int, n: int) -> float:
-        return float(min(n, self._cap[station]) * self._mu[station])
-
     def _build_level(self, k: int) -> LevelOperators:
         spec = self._spec
         M = spec.n_stations

@@ -213,21 +213,16 @@ def predict_peak_bytes(spec: NetworkSpec, dims: Sequence[int]) -> float:
     return nnz * _LU_FILL_FACTOR * _BYTES_PER_NNZ
 
 
-def enforce_budget(
-    spec: NetworkSpec,
-    K: int,
-    budget: Budget | None,
-    *,
-    dims: Sequence[int] | None = None,
-) -> list[int]:
+def enforce_budget(spec: NetworkSpec, K: int, budget: Budget | None) -> list[int]:
     """Predict level dims and raise before any level would bust a cap.
 
     Returns the predicted ``[D(0), …, D(K)]`` on success so callers can
-    log or report them without recomputing.  Backends whose level sizes
-    differ from the reduced-product prediction (e.g. the full Kronecker
-    space) pass their own ``dims`` and skip the prediction.
+    log or report them without recomputing.  Call it before building a
+    :class:`~repro.core.transient.TransientModel` to refuse an over-large
+    spec cheaply instead of discovering it by OOM; the degradation ladder
+    does so for every level-building rung.
     """
-    dims = list(dims) if dims is not None else predict_level_dims(spec, K)
+    dims = predict_level_dims(spec, K)
     if budget is None or budget.unlimited:
         return dims
     peak = max(dims)

@@ -213,13 +213,13 @@ class SpectralFallbackError(SolverError):
 
     Raised by ``LevelOperators.spectral_YR()`` when the eigendecomposition
     of ``Y_K R_K`` is unavailable or untrustworthy.  ``cause`` is a short
-    stable slug — one of ``"dim-cap"`` (the cached propagator is CSR, too
-    large to densify), ``"eig-failed"`` (LAPACK did not converge or the
+    stable slug — one of ``"dim-cap"`` (the level is over the dense
+    propagator cap and steps through its LU, so there is no ``Y·R``
+    matrix to decompose), ``"eig-failed"`` (LAPACK did not converge or the
     eigenbasis is numerically singular), ``"nonfinite"`` (the
     decomposition contains NaN/inf), ``"residual"`` (the probe-epoch
     residual check failed: reconstructed powers drift from iterated
-    ones), ``"unsupported-backend"`` (a wrapped level backend exposes no
-    spectral surface) — and the instance :attr:`reason` is
+    ones) — and the instance :attr:`reason` is
     ``"spectral-<cause>"`` so ladder reports and the
     ``repro_spectral_fallbacks_total{reason}`` counter stay reason-coded.
 
@@ -230,8 +230,7 @@ class SpectralFallbackError(SolverError):
     reason = "spectral-unavailable"
 
     #: slugs accepted for ``cause`` (label-set stability, like guard kinds)
-    CAUSES = ("dim-cap", "eig-failed", "nonfinite", "residual",
-              "unsupported-backend")
+    CAUSES = ("dim-cap", "eig-failed", "nonfinite", "residual")
 
     def __init__(
         self,

@@ -18,8 +18,8 @@ ladder in :mod:`repro.resilience.fallback` has a reproducible trigger:
   handful of steps so it cannot converge.
 
 Faults wrap :class:`~repro.laqt.operators.LevelOperators` behind the same
-duck-typed surface, so the solver code under test is byte-for-byte the
-production code.
+surface (:class:`~repro.resilience.guards.LevelView`), so the solver code
+under test is byte-for-byte the production code.
 
 One layer up, :class:`SweepFaultPlan` manufactures *process-level*
 accidents for every sweep runtime — the serial and pooled
@@ -49,6 +49,7 @@ import scipy.sparse as sp
 
 from repro.laqt.operators import LevelOperators
 from repro.resilience.errors import InjectedFaultError, SingularLevelError
+from repro.resilience.guards import LevelView
 
 __all__ = [
     "FaultPlan",
@@ -128,17 +129,17 @@ class FaultPlan:
         )
 
 
-class FaultyLevel:
+class FaultyLevel(LevelView):
     """A :class:`LevelOperators` lookalike with injected failures.
 
     Presents the full operator surface (``k``, ``dim``, ``space``,
     ``rates``, ``P``, ``Q``, ``R``, ``lu``, ``tau``, ``apply_Y``,
-    ``apply_YR``, ``mean_epoch_time``) so it can be dropped anywhere the
-    real operators go.
+    ``apply_YR``, ``step_Y``, ``step_YR``, ``mean_epoch_time``) so it can
+    be dropped anywhere the real operators go.
     """
 
     def __init__(self, ops: LevelOperators, plan: FaultPlan):
-        self._ops = ops
+        super().__init__(ops)
         self._plan = plan
         self._nan_armed = plan.nan_level == ops.k
         if plan.singular_level == ops.k and plan.singular_mode == "exact":
@@ -151,35 +152,6 @@ class FaultyLevel:
                 k=ops.k, space=ops.space, rates=ops.rates,
                 P=sp.csr_matrix(P), Q=ops.Q, R=ops.R,
             )
-
-    # -- pass-through surface -------------------------------------------
-    @property
-    def k(self) -> int:
-        return self._ops.k
-
-    @property
-    def dim(self) -> int:
-        return self._ops.dim
-
-    @property
-    def space(self):
-        return self._ops.space
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._ops.rates
-
-    @property
-    def P(self) -> sp.csr_matrix:
-        return self._ops.P
-
-    @property
-    def Q(self) -> sp.csr_matrix:
-        return self._ops.Q
-
-    @property
-    def R(self) -> sp.csr_matrix:
-        return self._ops.R
 
     @property
     def lu(self):
@@ -231,12 +203,6 @@ class FaultyLevel:
 
     def mean_epoch_time(self, x: np.ndarray) -> float:
         return float(np.asarray(x, dtype=float) @ self.tau)
-
-    def dense_Y(self) -> np.ndarray:  # pragma: no cover - debug surface
-        return self._ops.dense_Y()
-
-    def dense_V(self) -> np.ndarray:  # pragma: no cover - debug surface
-        return self._ops.dense_V()
 
 
 def apply_faults(ops: LevelOperators, plan: "FaultPlan | None"):

@@ -27,6 +27,7 @@ from repro.resilience.errors import NumericalHealthError
 
 __all__ = [
     "GuardConfig",
+    "LevelView",
     "GuardedLevel",
     "DenseLevel",
     "check_finite",
@@ -204,7 +205,41 @@ def lu_rcond(A: sp.spmatrix, lu: spla.SuperLU) -> float:
     return 1.0 / denom
 
 
-class GuardedLevel:
+def _forwarded(name: str) -> property:
+    return property(lambda self: getattr(self._ops, name),
+                    doc=f"The wrapped level's ``{name}``.")
+
+
+class LevelView:
+    """The operator surface of a wrapped level, forwarded unchanged.
+
+    Base of the degradation ladder's level wrappers — :class:`GuardedLevel`,
+    :class:`DenseLevel` and the test fake
+    :class:`~repro.resilience.faults.FaultyLevel` — each of which
+    overrides only the solves it checks, rescues or fakes.  The memory
+    accounting forwards too, so a rung model charges exactly the
+    operators it shares with the base model.
+    """
+
+    def __init__(self, ops):
+        self._ops = ops
+
+    k = _forwarded("k")
+    dim = _forwarded("dim")
+    space = _forwarded("space")
+    rates = _forwarded("rates")
+    P = _forwarded("P")
+    Q = _forwarded("Q")
+    R = _forwarded("R")
+
+    def cached_bytes(self) -> int:
+        return self._ops.cached_bytes()
+
+    def cache_info(self) -> dict:
+        return self._ops.cache_info()
+
+
+class GuardedLevel(LevelView):
     """Level operators with hot-path health checks (and optional refinement).
 
     Wraps any :class:`~repro.laqt.operators.LevelOperators` lookalike and
@@ -224,42 +259,16 @@ class GuardedLevel:
       results).
     """
 
+    #: suffix of the check-site labels (``where=``) this backend reports
+    _site = ""
+
     def __init__(self, ops, cfg: GuardConfig, *, refine: bool = False):
-        self._ops = ops
+        super().__init__(ops)
         self._cfg = cfg
         self._refine = refine
         self._A: sp.csr_matrix | None = None
         self._rcond: float | None = None
         self._tau_checked: np.ndarray | None = None
-
-    # -- pass-through surface -------------------------------------------
-    @property
-    def k(self) -> int:
-        return self._ops.k
-
-    @property
-    def dim(self) -> int:
-        return self._ops.dim
-
-    @property
-    def space(self):
-        return self._ops.space
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._ops.rates
-
-    @property
-    def P(self) -> sp.csr_matrix:
-        return self._ops.P
-
-    @property
-    def Q(self) -> sp.csr_matrix:
-        return self._ops.Q
-
-    @property
-    def R(self) -> sp.csr_matrix:
-        return self._ops.R
 
     @property
     def A(self) -> sp.csr_matrix:
@@ -292,7 +301,7 @@ class GuardedLevel:
         """Estimated reciprocal condition number (once ``lu`` was touched)."""
         return self._rcond
 
-    # -- guarded solves --------------------------------------------------
+    # -- unchecked solves (the dense rescue overrides these) -------------
     @staticmethod
     def _healthy(y: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(y)))
@@ -305,52 +314,41 @@ class GuardedLevel:
         r = x - z @ self.A
         return z + lu.solve(r, trans="T")
 
-    @property
-    def tau(self) -> np.ndarray:
-        if self._tau_checked is None:
-            y = self._ops.tau
-            if not self._healthy(y) and self._refine:
-                _note_trip("tau", "refine", self.k)
-                lu = self.lu
-                b = 1.0 / self.rates
-                y = lu.solve(b)
-                y = y + lu.solve(b - self.A @ y)
-            self._tau_checked = check_nonnegative(
-                np.asarray(y, dtype=float), where="tau", level=self.k,
-                tol=self._cfg.neg_tol,
-            )
-        return self._tau_checked
+    def _solve_tau(self) -> np.ndarray:
+        y = self._ops.tau
+        if not self._healthy(y) and self._refine:
+            _note_trip("tau", "refine", self.k)
+            lu = self.lu
+            b = 1.0 / self.rates
+            y = lu.solve(b)
+            y = y + lu.solve(b - self.A @ y)
+        return y
 
-    def apply_Y(self, x: np.ndarray) -> np.ndarray:
+    def _solve_Y(self, x: np.ndarray) -> np.ndarray:
         y = self._ops.apply_Y(x)
         if not self._healthy(y) and self._refine:
             _note_trip("apply_Y", "refine", self.k)
             y = self._refined_left(x) @ self.Q
-        return check_stochastic(y, self._cfg, where="apply_Y", level=self.k)
+        return y
+
+    # -- checked outputs --------------------------------------------------
+    @property
+    def tau(self) -> np.ndarray:
+        if self._tau_checked is None:
+            self._tau_checked = check_nonnegative(
+                np.asarray(self._solve_tau(), dtype=float),
+                where="tau" + self._site, level=self.k, tol=self._cfg.neg_tol,
+            )
+        return self._tau_checked
+
+    def apply_Y(self, x: np.ndarray) -> np.ndarray:
+        return check_stochastic(self._solve_Y(x), self._cfg,
+                                where="apply_Y" + self._site, level=self.k)
 
     def apply_YR(self, x: np.ndarray) -> np.ndarray:
         y = self.apply_Y(x) @ self.R
-        return check_stochastic(y, self._cfg, where="apply_YR", level=self.k)
-
-    # -- guarded cached-propagator surface --------------------------------
-    def spectral_YR(self):
-        """Forward the spectral surface when the wrapped backend has one.
-
-        The decomposition self-checks at build time (probe epochs), and
-        drain vectors still pass through the guarded ``step_Y`` checks.
-        Backends without a spectral surface (dense rescue, fault drills)
-        raise the reason-coded refusal the model downgrades on.
-        """
-        inner = getattr(self._ops, "spectral_YR", None)
-        if inner is None:
-            from repro.resilience.errors import SpectralFallbackError
-
-            raise SpectralFallbackError(
-                f"level backend {type(self._ops).__name__} exposes no "
-                "spectral surface",
-                cause="unsupported-backend", level=self.k, dim=self.dim,
-            )
-        return inner()
+        return check_stochastic(y, self._cfg, where="apply_YR" + self._site,
+                                level=self.k)
 
     def step_Y(self, x: np.ndarray) -> np.ndarray:
         y = self._ops.step_Y(x)
@@ -371,9 +369,10 @@ class GuardedLevel:
     def mean_epoch_time(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, dtype=float) @ self.tau)
         if not np.isfinite(t) or t < 0.0:
+            where = "mean_epoch_time" + self._site
             raise NumericalHealthError(
-                f"mean_epoch_time: got {t!r} at level {self.k}",
-                where="mean_epoch_time",
+                f"{where}: got {t!r} at level {self.k}",
+                where=where,
                 level=self.k,
                 dim=self.dim,
                 value=t,
@@ -381,23 +380,27 @@ class GuardedLevel:
         return t
 
 
-class DenseLevel:
+class DenseLevel(GuardedLevel):
     """Dense pivoted-LU backend for small ill-conditioned levels.
 
     Sparse SuperLU can break down on nearly singular level matrices where
     dense partial pivoting still delivers a usable factorization.  This
     wrapper solves through :func:`scipy.linalg.lu_factor` instead —
     quadratic memory, so the degradation ladder only engages it below its
-    ``dense_dim_cap``.  Output health is checked like :class:`GuardedLevel`.
+    ``dense_dim_cap``.  Outputs are checked as in :class:`GuardedLevel`;
+    there is no rcond gate and no refinement, and every epoch steps by
+    solves (the per-epoch cost is already O(dim²), so a cached propagator
+    would buy nothing).
     """
+
+    _site = "(dense)"
 
     def __init__(self, ops, cfg: GuardConfig):
         import warnings
 
         import scipy.linalg as sla
 
-        self._ops = ops
-        self._cfg = cfg
+        super().__init__(ops, cfg)
         A = np.eye(ops.dim) - ops.P.toarray()
         with warnings.catch_warnings():
             # lu_factor warns (LinAlgWarning) on exact singularity; we turn
@@ -416,73 +419,16 @@ class DenseLevel:
             )
         self._factors = (lu, piv)
         self._lu_solve = sla.lu_solve
-        self._tau_checked: np.ndarray | None = None
 
-    # -- pass-through surface -------------------------------------------
-    @property
-    def k(self) -> int:
-        return self._ops.k
+    def _solve_tau(self) -> np.ndarray:
+        return self._lu_solve(self._factors, 1.0 / self.rates)
 
-    @property
-    def dim(self) -> int:
-        return self._ops.dim
-
-    @property
-    def space(self):
-        return self._ops.space
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._ops.rates
-
-    @property
-    def P(self) -> sp.csr_matrix:
-        return self._ops.P
-
-    @property
-    def Q(self) -> sp.csr_matrix:
-        return self._ops.Q
-
-    @property
-    def R(self) -> sp.csr_matrix:
-        return self._ops.R
-
-    # -- dense solves ----------------------------------------------------
-    @property
-    def tau(self) -> np.ndarray:
-        if self._tau_checked is None:
-            y = self._lu_solve(self._factors, 1.0 / self.rates)
-            self._tau_checked = check_nonnegative(
-                y, where="tau(dense)", level=self.k, tol=self._cfg.neg_tol
-            )
-        return self._tau_checked
-
-    def apply_Y(self, x: np.ndarray) -> np.ndarray:
+    def _solve_Y(self, x: np.ndarray) -> np.ndarray:
         z = self._lu_solve(self._factors, np.asarray(x, dtype=float), trans=1)
-        return check_stochastic(
-            z @ self.Q, self._cfg, where="apply_Y(dense)", level=self.k
-        )
+        return z @ self.Q
 
-    def apply_YR(self, x: np.ndarray) -> np.ndarray:
-        y = self.apply_Y(x) @ self.R
-        return check_stochastic(y, self._cfg, where="apply_YR(dense)", level=self.k)
-
-    # The dense rescue backend solves per step: its per-epoch cost is
-    # already O(dim²), so caching a propagator here buys nothing.
     def step_Y(self, x: np.ndarray) -> np.ndarray:
         return self.apply_Y(x)
 
     def step_YR(self, x: np.ndarray) -> np.ndarray:
         return self.apply_YR(x)
-
-    def mean_epoch_time(self, x: np.ndarray) -> float:
-        t = float(np.asarray(x, dtype=float) @ self.tau)
-        if not np.isfinite(t) or t < 0.0:
-            raise NumericalHealthError(
-                f"mean_epoch_time(dense): got {t!r} at level {self.k}",
-                where="mean_epoch_time(dense)",
-                level=self.k,
-                dim=self.dim,
-                value=t,
-            )
-        return t

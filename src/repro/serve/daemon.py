@@ -142,13 +142,22 @@ def _consume_exception(fut: asyncio.Future) -> None:
         fut.exception()
 
 
+def _whole(doc: dict, name: str) -> int:
+    """``doc[name]`` as an int, refusing what ``int()`` would change
+    (``30.7``, ``"5"``) and booleans (``true`` is not the count 1)."""
+    value = doc[name]
+    if isinstance(value, bool) or int(value) != value:
+        raise _HttpError(400, f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_query(doc: dict) -> Query:
     if not isinstance(doc, dict):
         raise _HttpError(400, "query must be a JSON object")
     try:
         spec = spec_from_dict(doc["spec"])
-        K = int(doc["K"])
-        N = int(doc["N"])
+        K = _whole(doc, "K")
+        N = _whole(doc, "N")
     except _HttpError:
         raise
     except KeyError as exc:
@@ -416,7 +425,10 @@ class ServeDaemon:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body of {length} bytes over the "
                                   f"{MAX_BODY_BYTES} cap")

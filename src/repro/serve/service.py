@@ -10,18 +10,12 @@ minimum number of model builds:
 2. duplicate query fingerprints are answered **once** and share the
    value;
 3. unique queries are grouped per model, so an N-sweep against one spec
-   pays a single build;
-4. distinct-model groups either run serially through the shared
-   :class:`~repro.serve.cache.ModelCache`, or fan out across a
-   :class:`~repro.experiments.executor.SweepExecutor` pool (one group
-   per point; pool workers build cold, so fan-out trades warm reuse for
-   parallelism on wide many-model batches).
+   pays a single build.
 
 Answers are **bit-identical** to per-query cold solves at any batch
 order or concurrency: a cached model holds exactly the operators a cold
-build would construct, evaluation is deterministic given those
-operators, and pool points are pure functions of the query
-(pinned in ``tests/serve/test_service.py``).
+build would construct, and evaluation is deterministic given those
+operators (pinned in ``tests/serve/test_service.py``).
 """
 
 from __future__ import annotations
@@ -97,14 +91,6 @@ class Answer:
     deduped: bool = False
 
 
-def _solve_group(spec: NetworkSpec, K: int, items: tuple) -> list:
-    """Pool point: build one model, answer its queries (picklable)."""
-    from repro.core.transient import TransientModel
-
-    model = TransientModel(spec, int(K))
-    return [_evaluate(model, metric, int(N)) for metric, N in items]
-
-
 @dataclass
 class SolverService:
     """The cache + batching engine behind ``repro serve``.
@@ -122,18 +108,8 @@ class SolverService:
         """Answer one query through the cache."""
         return self.solve_many([query])[0]
 
-    def solve_many(
-        self,
-        queries: Sequence[Query],
-        *,
-        executor=None,
-    ) -> list[Answer]:
-        """Answer a batch with minimum builds (see module docstring).
-
-        ``executor`` (a :class:`SweepExecutor`-like object with
-        ``map(fn, calls, label=)``) fans distinct-model groups across a
-        pool; ``None`` (default) reuses this process's warm cache.
-        """
+    def solve_many(self, queries: Sequence[Query]) -> list[Answer]:
+        """Answer a batch with minimum builds (see module docstring)."""
         queries = list(queries)
         model_fps = [q.model_fingerprint() for q in queries]
         query_fps = [q.fingerprint(m) for q, m in zip(queries, model_fps)]
@@ -152,32 +128,17 @@ class SolverService:
         cached_flag: dict[str, bool] = {}
         seconds: dict[str, float] = {}
 
-        if executor is not None:
-            calls = [
-                (queries[idxs[0]].spec, queries[idxs[0]].K,
-                 tuple((queries[i].metric, queries[i].N) for i in idxs))
-                for idxs in groups.values()
-            ]
-            t0 = time.perf_counter()
-            results = executor.map(_solve_group, calls, label="solve_many")
-            per = (time.perf_counter() - t0) / max(len(queries), 1)
-            for idxs, group_values in zip(groups.values(), results):
-                for i, value in zip(idxs, group_values):
-                    values[query_fps[i]] = value
-                    cached_flag[query_fps[i]] = False
-                    seconds[query_fps[i]] = per
-        else:
-            for mfp, idxs in groups.items():
-                q0 = queries[idxs[0]]
-                warm = mfp in self.cache
-                model = self.cache.get_or_build(q0.spec, q0.K, fingerprint=mfp)
-                for i in idxs:
-                    t0 = time.perf_counter()
-                    value = _evaluate(model, queries[i].metric, queries[i].N)
-                    seconds[query_fps[i]] = time.perf_counter() - t0
-                    values[query_fps[i]] = value
-                    cached_flag[query_fps[i]] = warm
-                self.cache.settle(mfp)
+        for mfp, idxs in groups.items():
+            q0 = queries[idxs[0]]
+            warm = mfp in self.cache
+            model = self.cache.get_or_build(q0.spec, q0.K, fingerprint=mfp)
+            for i in idxs:
+                t0 = time.perf_counter()
+                value = _evaluate(model, queries[i].metric, queries[i].N)
+                seconds[query_fps[i]] = time.perf_counter() - t0
+                values[query_fps[i]] = value
+                cached_flag[query_fps[i]] = warm
+            self.cache.settle(mfp)
 
         return [
             Answer(
@@ -196,8 +157,7 @@ def solve_many(
     queries: Sequence[Query],
     *,
     cache: ModelCache | None = None,
-    executor=None,
 ) -> list[Answer]:
     """Module-level convenience over a throwaway :class:`SolverService`."""
     service = SolverService(cache=cache if cache is not None else ModelCache())
-    return service.solve_many(queries, executor=executor)
+    return service.solve_many(queries)

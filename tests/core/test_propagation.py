@@ -16,8 +16,13 @@ from repro.core import TransientModel
 from repro.core.epochs import epoch_distribution, epoch_scvs
 from repro.distributions import Shape
 from repro.experiments.params import BASE_APP
-from repro.resilience.guards import GuardConfig
+from repro.resilience.fallback import ResilientSolver
 from tests import oracle
+
+
+def _exact_rung(spec, K):
+    """The model the ladder's exact rung solves with (guarded levels)."""
+    return ResilientSolver(spec, K)._rung_model("exact")
 
 
 def _pair(spec, K):
@@ -129,32 +134,18 @@ class TestSharedRecurrence:
 
 
 class TestGuardedEpochs:
-    """epoch helpers reach level operators through the supported accessor."""
+    """Epoch laws on a degradation-ladder rung model (guarded levels)."""
 
     def _spec(self):
         return central_cluster(BASE_APP, {"rdisk": Shape.scv(5.0)})
 
     def test_epoch_distribution_with_guards(self):
         plain = epoch_distribution(TransientModel(self._spec(), 3), 6, 2)
-        guarded = epoch_distribution(
-            TransientModel(self._spec(), 3, guards=GuardConfig()), 6, 2
-        )
+        guarded = epoch_distribution(_exact_rung(self._spec(), 3), 6, 2)
         assert guarded.mean == pytest.approx(plain.mean, rel=1e-12)
         assert guarded.moment(2) == pytest.approx(plain.moment(2), rel=1e-12)
 
     def test_epoch_scvs_with_guards(self):
         plain = epoch_scvs(TransientModel(self._spec(), 3), 6)
-        guarded = epoch_scvs(
-            TransientModel(self._spec(), 3, guards=GuardConfig()), 6
-        )
+        guarded = epoch_scvs(_exact_rung(self._spec(), 3), 6)
         np.testing.assert_allclose(guarded, plain, rtol=1e-12)
-
-    def test_level_B_unsupported_backend_raises(self):
-        model = TransientModel(self._spec(), 3)
-
-        class Opaque:
-            pass
-
-        model._levels[2] = Opaque()
-        with pytest.raises(AttributeError, match="Opaque"):
-            model.level_B(2)

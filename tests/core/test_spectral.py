@@ -183,23 +183,6 @@ class TestSpectralFallback:
         assert "eig_decompose" in names
         assert "propagator" not in names
 
-    def test_unsupported_backend(self):
-        """A level surface without ``spectral_YR`` yields the backend code."""
-
-        class _NoSpectral:
-            def __init__(self, ops):
-                self._ops = ops
-
-            def __getattr__(self, name):
-                if name == "spectral_YR":
-                    raise AttributeError(name)
-                return getattr(self._ops, name)
-
-        reference = TransientModel(_spec("exp"), 4).interdeparture_times(12)
-        model = TransientModel(_spec("exp"), 4, propagation="spectral")
-        model._levels[4] = _NoSpectral(model.level(4))
-        self._assert_downgraded(model, "unsupported-backend", reference)
-
     def test_fallback_is_sticky_and_counted_once(self, monkeypatch):
         def boom(_T):
             raise np.linalg.LinAlgError("forced eig failure")

@@ -173,13 +173,17 @@ class TestAboveCapLUStepping:
         )
 
     def test_guarded_level_steps_through_lu(self, central_h2_spec, tiny_caps):
-        from repro.resilience.guards import GuardConfig
+        from repro.resilience.fallback import ResilienceConfig, ResilientSolver
 
         plain = TransientModel(central_h2_spec, 5).interdeparture_times(30)
-        guarded = TransientModel(central_h2_spec, 5, guards=GuardConfig())
-        np.testing.assert_allclose(guarded.interdeparture_times(30), plain,
+        solver = ResilientSolver(central_h2_spec, 5,
+                                 ResilienceConfig(ladder=("exact",)))
+        res = solver.solve(30)
+        assert res.report.method == "exact"
+        np.testing.assert_allclose(res.interdeparture_times, plain,
                                    rtol=0.0, atol=1e-12)
-        assert guarded.cache_info()["levels"][-1]["propagator_YR"] is None
+        base = solver._base_model()
+        assert base.cache_info()["levels"][-1]["propagator_YR"] is None
 
     def test_fault_drill_recovers_through_lu(self, central_h2_spec, tiny_caps):
         from repro.resilience.fallback import ResilienceConfig, solve_resilient

@@ -78,12 +78,6 @@ class TestRejections:
         with pytest.raises(ValueError, match="non-exponential"):
             FullProductModel(spec, 2)
 
-    def test_guards_rejected_with_clear_error(self, spec):
-        from repro.resilience.guards import GuardConfig
-
-        with pytest.raises(ValueError, match="guards"):
-            FullProductModel(spec, 2, guards=GuardConfig())
-
 
 class TestKeywordSurface:
     """Regression: __init__ used to reject the TransientModel keywords."""
@@ -95,20 +89,3 @@ class TestKeywordSurface:
         )
         model.interdeparture_times(5)
         assert len(seen) == 5
-
-    def test_budget_enforced_on_full_dims(self, spec):
-        from repro.resilience.budget import Budget
-        from repro.resilience.errors import BudgetExceededError
-
-        # M^K full states exceed the cap long before the reduced C(M+K−1, K).
-        K = 4
-        cap = spec.n_stations**K - 1
-        with pytest.raises(BudgetExceededError):
-            FullProductModel(spec, K, budget=Budget(max_states=cap))
-        assert TransientModel(spec, K, budget=Budget(max_states=cap)).K == K
-
-    def test_budget_within_cap_accepted(self, spec):
-        from repro.resilience.budget import Budget
-
-        model = FullProductModel(spec, 2, budget=Budget(max_states=100))
-        assert model.level_dim(2) == spec.n_stations**2

@@ -14,7 +14,12 @@ from repro.resilience.budget import (
     predict_level_dims,
     predict_peak_bytes,
 )
-from repro.resilience.errors import BudgetExceededError
+from repro.resilience.errors import BudgetExceededError, SolverError
+from repro.resilience.fallback import (
+    ResilienceConfig,
+    ResilientSolver,
+    solve_resilient,
+)
 
 
 class TestPrediction:
@@ -81,13 +86,20 @@ class TestEnforcement:
         assert ei.value.limit == 1
 
     def test_rejection_happens_before_model_construction(self, central_spec):
-        # TransientModel enforces at __init__ time, before enumerating Ξ_k.
-        with pytest.raises(BudgetExceededError):
-            TransientModel(central_spec, 5, budget=Budget(max_states=3))
+        # The ladder enforces the budget before it builds a model (no Ξ_k
+        # is enumerated).
+        cfg = ResilienceConfig(budget=Budget(max_states=3), ladder=("exact",))
+        solver = ResilientSolver(central_spec, 5, cfg)
+        with pytest.raises(SolverError) as ei:
+            solver.solve(5)
+        assert ei.value.report.reason == "budget-exceeded"
+        assert solver._base is None
 
     def test_model_accepts_generous_budget(self, central_spec):
-        model = TransientModel(central_spec, 3, budget=Budget(max_states=10**6))
-        assert model.makespan(5) > 0
+        cfg = ResilienceConfig(budget=Budget(max_states=10**6), ladder=("exact",))
+        res = solve_resilient(central_spec, 3, 5, cfg)
+        assert res.report.method == "exact"
+        assert res.makespan > 0
 
 
 class TestClock:

@@ -173,3 +173,17 @@ class TestLadderMechanics:
         text = res.report.summary()
         assert "dense" in text
         assert "singular-level" in text
+
+    @pytest.mark.parametrize("mode", ["exact", "dense"])
+    def test_rung_model_accounts_for_shared_levels(self, central_h2_spec, mode):
+        """A rung model's wrapped levels answer the cache and B_k surfaces
+        with the base model's operators."""
+        solver = ResilientSolver(central_h2_spec, K)
+        rung = solver._rung_model(mode)
+        rung.interdeparture_times(N)
+        base = solver._base_model()
+        assert rung.cache_info()["levels"] == base.cache_info()["levels"]
+        entrance = sum(x.nbytes for x in rung._entrance.values())
+        assert rung.cached_bytes() == base.cached_bytes() + entrance > entrance
+        for k in range(1, K + 1):
+            assert np.array_equal(rung.level_B(k), base.level_B(k))

@@ -1,10 +1,10 @@
 """Property tests: epoch state vectors stay stochastic across random specs.
 
-Satellite (c) of the resilience PR: for randomly drawn central and
-distributed cluster applications (including non-exponential shapes),
-every epoch state vector the guarded transient solver touches must be
-non-negative with unit mass — the ``check_stochastic`` guard never fires
-beyond its soft renormalization band on healthy models.
+For randomly drawn central and distributed cluster applications
+(including non-exponential shapes), every epoch state vector the
+degradation ladder's guarded exact rung touches must be non-negative with
+unit mass — the ``check_stochastic`` guard never fires beyond its soft
+renormalization band on healthy models.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from repro.clusters import ApplicationModel, central_cluster, distributed_cluste
 from repro.core import TransientModel
 from repro.distributions import Shape
 from repro.obs import Instrumentation
-from repro.resilience.guards import GuardConfig
+from repro.resilience.fallback import ResilienceConfig, solve_resilient
 
 MASS_TOL = 1e-9
+EXACT = ResilienceConfig(ladder=("exact",))
 
 apps = st.builds(
     ApplicationModel,
@@ -45,16 +46,15 @@ SETTINGS = settings(
 
 
 def collect_epoch_vectors(spec, K, N):
-    """Run the guarded solver, recording every epoch entry vector."""
+    """Solve through the exact rung, recording every epoch entry vector."""
     seen = []
-    model = TransientModel(
-        spec, K, guards=GuardConfig(),
-        instrument=Instrumentation(
-            on_epoch=lambda j, k, x: seen.append((j, k, np.asarray(x)))
-        ),
+    hook = Instrumentation(
+        on_epoch=lambda j, k, x: seen.append((j, k, np.asarray(x)))
     )
-    times = model.interdeparture_times(N)
-    return times, seen
+    with hook.activate():
+        res = solve_resilient(spec, K, N, EXACT)
+    assert res.report.method == "exact"
+    return res.interdeparture_times, seen
 
 
 @given(app=apps, shapes=shapes, K=st.sampled_from([2, 3]), N=st.integers(1, 8))
@@ -84,5 +84,5 @@ def test_guards_do_not_change_results_on_healthy_models(app, N):
     """Guard wrapping is observation, not perturbation: results bit-match."""
     spec = central_cluster(app)
     plain = TransientModel(spec, 3).interdeparture_times(N)
-    guarded = TransientModel(spec, 3, guards=GuardConfig()).interdeparture_times(N)
+    guarded = solve_resilient(spec, 3, N, EXACT).interdeparture_times
     assert np.array_equal(plain, guarded)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -205,11 +206,42 @@ class TestErrors:
                 _body(propagation="warp"),              # removed field
                 _body(deadline=-1),                     # bad deadline
                 {"queries": []},                        # empty batch
+                _body(N=30.7),                          # fractional N
+                _body(K=5.9),                           # fractional K
+                _body(K=True),                          # boolean K
             ):
                 path = "/solve_many" if "queries" in bad else "/solve"
                 code, doc = await post(path, bad)
                 assert code == 400, (bad, doc)
                 assert doc["status"] == "error"
+
+        _drive(scenario)
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, length):
+        """A bad Content-Length is a framing error: 400, close, counted."""
+        async def scenario(daemon, post, get):
+            def exchange():
+                with socket.create_connection((daemon.host, daemon.port),
+                                              timeout=60) as sock:
+                    sock.sendall(
+                        b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                        b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                    )
+                    reply = b""
+                    while chunk := sock.recv(65536):
+                        reply += chunk
+                    return reply
+
+            loop = asyncio.get_running_loop()
+            reply = await loop.run_in_executor(None, exchange)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert b"Connection: close" in head
+            assert json.loads(body)["status"] == "error"
+            code, text = await get("/metrics")
+            assert 'repro_requests_total{code="400",endpoint="unknown"} 1' \
+                in text
 
         _drive(scenario)
 

