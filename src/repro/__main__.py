@@ -7,7 +7,7 @@
     python -m repro report cluster.json --workstations 5 --tasks 30
     python -m repro validate cluster.json --workstations 5 --tasks 20
     python -m repro experiment fig03 --plot
-    python -m repro experiment fig03 --shard-dir /shared/run --workers 4
+    python -m repro experiment fig03 --shard-dir /shared/run --jobs 4
     python -m repro sweep-worker fig03 --shard-dir /shared/run
     python -m repro profile cluster.json -K 5 -N 30
     python -m repro serve --port 8278 --max-inflight 8 --queue-depth 32
@@ -223,38 +223,14 @@ def _run_validate(args) -> int:
 
 
 def _experiment_argv(args) -> list:
-    """Forward the shared sweep/shard flags to the experiments CLI."""
+    """Forward every flag set on ``experiment``/``sweep-worker`` to the
+    experiments CLI, which defines the same ones (``add_sweep_args``)."""
     argv = [args.name]
-    if getattr(args, "plot", False):
-        argv.append("--plot")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.timeout is not None:
-        argv += ["--timeout", str(args.timeout)]
-    if args.retries is not None:
-        argv += ["--retries", str(args.retries)]
-    if args.checkpoint_dir:
-        argv += ["--checkpoint-dir", args.checkpoint_dir]
-    if args.resume:
-        argv.append("--resume")
-    if args.drill:
-        argv += ["--drill", args.drill]
-    if args.shard_dir:
-        argv += ["--shard-dir", args.shard_dir]
-    if args.worker_id:
-        argv += ["--worker-id", args.worker_id]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    if args.lease_ttl is not None:
-        argv += ["--lease-ttl", str(args.lease_ttl)]
-    if args.report_json:
-        argv += ["--report-json", args.report_json]
-    if args.checkpoint_gc:
-        argv.append("--checkpoint-gc")
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.metrics_out:
-        argv += ["--metrics-out", args.metrics_out]
+    for dest, value in vars(args).items():
+        if dest in ("command", "func", "name") or value in (None, False):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
     return argv
 
 

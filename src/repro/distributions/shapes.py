@@ -38,7 +38,7 @@ class Shape:
 
     def __reduce__(self):
         # The factory closure is not picklable; rebuild from (name, params)
-        # instead so shapes can cross process-pool boundaries.
+        # instead so shapes pickle.
         return (_rebuild_shape, (self.name, dict(self.params)))
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ Usage::
     python -m repro.experiments all --trace all.trace.jsonl
     python -m repro.experiments fig04 --jobs 4 --timeout 120 \
         --checkpoint-dir ckpt --resume
+    python -m repro.experiments fig03 --shard-dir /shared/run --jobs 4
 
 Per-figure timing runs through the observability tracer
 (:mod:`repro.obs`), so a figure that crashes mid-run still reports the
@@ -14,7 +15,7 @@ per-stage times it accumulated — and, when ``--trace`` /
 
 Sweeps run under the supervised :class:`SweepExecutor`; exit codes follow
 the ``validate`` convention — 0 clean, 1 completed with recoveries
-(retries, salvages, pool rebuilds), 2 incomplete (failed points or an
+(retries, salvages, steals), 2 incomplete (failed points or an
 interrupt).  The per-sweep :class:`SweepReport` is printed to stderr.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -37,7 +37,6 @@ from repro.experiments._cli import (
 )
 from repro.obs import Instrumentation
 from repro.resilience.errors import ShardError, SweepError
-from repro.resilience.faults import SweepFaultPlan
 
 
 def _flush_artifacts(ins: Instrumentation, trace, metrics_out) -> None:
@@ -47,52 +46,6 @@ def _flush_artifacts(ins: Instrumentation, trace, metrics_out) -> None:
     if metrics_out:
         Path(metrics_out).write_text(ins.metrics.to_prometheus())
         print(f"wrote {metrics_out}", file=sys.stderr)
-
-
-def _spawn_workers(args: argparse.Namespace) -> list[subprocess.Popen]:
-    """Launch ``--workers``-1 sweep-worker subprocesses; we are the last.
-
-    Children join the same shard namespace with stable worker ids and
-    quiet stdio (the parent is the one reporting).  An armed ``--drill``
-    goes to the *first* child only, so there is always at least one clean
-    worker (this process) to steal from the drilled one; a
-    ``die-after-claim`` child is waited for before the parent starts
-    sweeping, making the steal deterministic — the lease is provably
-    orphaned by the time the survivor reaches it.
-    """
-    base = [sys.executable, "-m", "repro.experiments", args.figure,
-            "--shard-dir", args.shard_dir]
-    if args.retries is not None:
-        base += ["--retries", str(args.retries)]
-    if args.lease_ttl is not None:
-        base += ["--lease-ttl", str(args.lease_ttl)]
-    drill = SweepFaultPlan.parse(args.drill) if args.drill else None
-    children: list[subprocess.Popen] = []
-    for n in range(1, args.workers):
-        argv = list(base) + ["--worker-id", f"shard-w{n}"]
-        if args.drill and n == 1:
-            argv += ["--drill", args.drill]
-        child = subprocess.Popen(
-            argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        children.append(child)
-        if n == 1 and drill is not None and drill.die_after_claims is not None:
-            try:
-                child.wait(timeout=600)
-            except subprocess.TimeoutExpired:  # pragma: no cover - safety net
-                child.kill()
-    return children
-
-
-def _reap_workers(children: list[subprocess.Popen]) -> None:
-    """Collect launcher children; by now every point has a record, so any
-    straggler converges almost immediately (or was killed by its drill)."""
-    for child in children:
-        try:
-            child.wait(timeout=120)
-        except subprocess.TimeoutExpired:  # pragma: no cover - safety net
-            child.kill()
-            child.wait(timeout=10)
 
 
 def _stage_report(ins: Instrumentation) -> str:
@@ -139,9 +92,6 @@ def main(argv=None) -> int:
     except ShardError as exc:
         print(f"# shard namespace rejected: {exc}", file=sys.stderr)
         return 2
-    children = (
-        _spawn_workers(args) if (args.workers or 0) > 1 else []
-    )
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     ins = Instrumentation.enabled()
@@ -199,7 +149,6 @@ def main(argv=None) -> int:
         return 1
     finally:
         executor.close()
-        _reap_workers(children)
         if args.report_json and executor.reports:
             path = write_report_json(args.report_json, executor.reports)
             print(f"wrote {path}", file=sys.stderr)

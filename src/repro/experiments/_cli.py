@@ -6,15 +6,16 @@ validation (``--jobs 0`` must be a ``parser.error``, not a traceback from
 ``SweepExecutor.__init__``), and the args→executor translation in one
 place so the two CLIs cannot drift.  With ``--shard-dir`` the executor is
 a :class:`~repro.experiments.shard.ShardExecutor` joining a distributed
-namespace; without it, the single-process
-:class:`~repro.experiments.executor.SweepExecutor`.
+namespace (``--jobs N``: as N local workers); without it, a
+:class:`~repro.experiments.executor.SweepExecutor`, serial or on ``--jobs``
+local shard workers.  ``--timeout`` bounds every attempt in all of them.
 
 ``--drill KIND@N`` arms a deterministic
 :class:`~repro.resilience.faults.SweepFaultPlan`, parsed by
 :meth:`~repro.resilience.faults.SweepFaultPlan.parse`: point kinds take a
-point index, claim kinds (``--shard-dir`` only) count *successful lease
-claims*.  CI drills both on every push; it is a testing aid, never needed
-in service.
+point index, claim kinds (``--shard-dir`` or ``--jobs`` > 1) count
+*successful lease claims*.  CI drills both on every push; it is a testing
+aid, never needed in service.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 from repro.experiments.executor import SweepExecutor, SweepReport
 from repro.resilience.faults import SWEEP_DRILLS, SweepFaultPlan
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "add_sweep_args",
@@ -67,18 +69,18 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--jobs``/supervision flags to a (sub)parser."""
     parser.add_argument(
         "--jobs", type=positive_int_arg, default=1, metavar="J",
-        help="fan independent sweep points across J worker processes "
-             "(default 1: serial, deterministic reference; results are "
-             "identical at any J)")
+        help="share independent sweep points among J local worker "
+             "processes: J-1 forked helpers and this one (default 1: "
+             "serial, deterministic reference; results are identical at "
+             "any J)")
     parser.add_argument(
         "--timeout", type=positive_float_arg, default=None, metavar="SECONDS",
-        help="per-point wall-clock deadline; a point past it is killed "
-             "with its worker pool and retried (jobs > 1 only; rejected "
-             "with --shard-dir)")
+        help="per-attempt wall-clock deadline; an attempt past it is "
+             "interrupted and retried (the last attempt runs without it)")
     parser.add_argument(
         "--retries", type=positive_int_arg, default=None, metavar="A",
-        help="total attempts per point, the last one inline in the "
-             "parent process (default 3; 1 disables retries)")
+        help="total attempts per point, the last one without drill or "
+             "deadline (default 3; 1 disables retries)")
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="record every completed point in the point store at DIR "
@@ -90,12 +92,10 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "(bit-identical reuse; requires --checkpoint-dir)")
     parser.add_argument(
         "--drill", metavar="KIND@INDEX", default=None,
-        help="inject a deterministic supervision fault at one point "
-             f"index; KIND in {{{_drill_kinds('index')}}} "
-             "(testing aid — 'crash' SIGKILLs the first attempt's worker, "
-             "'crash-always' every pool attempt, forcing inline salvage); "
-             f"with --shard-dir also {{{_drill_kinds('claims')}}}, "
-             "where the number counts successful lease claims")
+        help="inject a deterministic supervision fault (testing aid) at "
+             f"one point index; KIND in {{{_drill_kinds('index')}}} (hangs "
+             "need --timeout); with --shard-dir or --jobs > 1 also "
+             f"{{{_drill_kinds('claims')}}}, where N counts lease claims")
     parser.add_argument(
         "--shard-dir", metavar="DIR", default=None,
         help="join the distributed sweep namespace at DIR: claim points "
@@ -107,14 +107,11 @@ def add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="stable worker id inside the shard namespace "
              "(default: <host>-<pid>)")
     parser.add_argument(
-        "--workers", type=positive_int_arg, default=None, metavar="W",
-        help="convenience launcher: spawn W-1 sweep-worker subprocesses "
-             "against --shard-dir and join as the W-th worker yourself")
-    parser.add_argument(
         "--lease-ttl", type=positive_float_arg, default=None,
         metavar="SECONDS",
         help="shard lease time-to-live; a worker silent this long has "
-             "its claimed points stolen (default 30)")
+             "its claimed points stolen (default 30; with --shard-dir or "
+             "--jobs > 1)")
     parser.add_argument(
         "--report-json", metavar="PATH", default=None,
         help="write every sweep report (per-point status, attempts, "
@@ -134,64 +131,44 @@ def executor_from_args(
     """Build the executor both CLIs hand to figure modules.
 
     ``--shard-dir`` selects the distributed
-    :class:`~repro.experiments.shard.ShardExecutor` (the process becomes
-    one cooperating worker); otherwise the single-process
-    :class:`SweepExecutor`.
+    :class:`~repro.experiments.shard.ShardExecutor` (this process becomes
+    ``--jobs`` cooperating workers); otherwise a :class:`SweepExecutor`.
     """
-    shard_dir = getattr(args, "shard_dir", None)
+    shard_dir = args.shard_dir
+    workers = shard_dir or args.jobs > 1
     if args.resume and not args.checkpoint_dir and not shard_dir:
         parser.error("--resume requires --checkpoint-dir")
-    if getattr(args, "workers", None) and not shard_dir:
-        parser.error("--workers requires --shard-dir")
-    if getattr(args, "lease_ttl", None) and not shard_dir:
-        parser.error("--lease-ttl requires --shard-dir")
-    if args.timeout is not None and shard_dir:
-        parser.error("--timeout has no effect with --shard-dir: a shard "
-                     "worker cannot preempt its own point (hung workers "
-                     "lose their leases instead)")
-    retry = None
-    if args.retries is not None:
-        from repro.resilience.retry import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.retries)
+    if args.lease_ttl and not workers:
+        parser.error("--lease-ttl requires --shard-dir or --jobs > 1")
     faults = None
     if args.drill:
         try:
             faults = SweepFaultPlan.parse(args.drill)
         except ValueError as exc:
             parser.error(f"--drill: {exc}")
-        if faults.claims_armed and not shard_dir:
+        if faults.claims_armed and not workers:
             parser.error(
                 f"--drill {args.drill} is a shard drill and requires "
-                "--shard-dir")
+                "--shard-dir or --jobs > 1")
+        if faults.hang_point is not None and args.timeout is None:
+            parser.error(f"--drill {args.drill} hangs a point and "
+                         "requires --timeout")
+    retry = RetryPolicy(max_attempts=args.retries or RetryPolicy.max_attempts,
+                        timeout=args.timeout)
+    kwargs = {"lease_ttl": args.lease_ttl} if args.lease_ttl else {}
     if shard_dir:
         from repro.experiments.shard import ShardExecutor
 
-        kwargs = {}
-        if getattr(args, "lease_ttl", None):
-            kwargs["lease_ttl"] = args.lease_ttl
-        # The --workers launcher arms the drill on its first child only.
-        launcher = (getattr(args, "workers", None) or 1) > 1
-        return ShardExecutor(
-            shard_dir,
-            worker_id=getattr(args, "worker_id", None),
-            retry=retry,
-            faults=None if launcher else faults,
-            **kwargs,
-        )
+        return ShardExecutor(shard_dir, worker_id=args.worker_id,
+                             jobs=args.jobs, retry=retry, faults=faults,
+                             **kwargs)
     journal = None
     if args.checkpoint_dir:
         from repro.experiments.journal import SweepJournal
 
         journal = SweepJournal(args.checkpoint_dir)
-    return SweepExecutor(
-        args.jobs,
-        timeout=args.timeout,
-        retry=retry,
-        journal=journal,
-        resume=args.resume,
-        faults=faults,
-    )
+    return SweepExecutor(args.jobs, retry=retry, journal=journal,
+                         resume=args.resume, faults=faults, **kwargs)
 
 
 def write_report_json(path: str | Path, reports: list[SweepReport]) -> Path:

@@ -8,13 +8,14 @@ what the benchmark harness times).
 Every helper decomposes its figure into independent *sweep points* (one
 per swept C²/K value) and runs them through one executor: one
 :class:`~repro.core.transient.TransientModel` per point, shared across
-every workload size N and every curve differing only in N.  The point
-functions are module-level so they pickle across pool boundaries.
+every workload size N and every curve differing only in N.  Point
+results are plain arrays and floats, so the point store records them
+bit-exactly for every runtime.
 
 ``executor=`` is the one way to choose the runtime: a configured
-:class:`~repro.experiments.executor.SweepExecutor` (``jobs=`` pool
-fan-out with identical numbers, per-point ``timeout=``, a
-``RetryPolicy``, a checkpoint ``journal=``/``resume=``, drill
+:class:`~repro.experiments.executor.SweepExecutor` (``jobs=`` local
+shard workers with identical numbers, a ``RetryPolicy`` with its
+per-attempt ``timeout=``, a checkpoint ``journal=``/``resume=``, drill
 ``faults=``) or a :class:`~repro.experiments.shard.ShardExecutor`.  This
 is how both CLIs thread ``--jobs/--timeout/--retries/--resume/
 --checkpoint-dir/--shard-dir`` down to the sweep; ``None`` (the default)
@@ -97,7 +98,7 @@ def _swept_model(kind: str, role: str, K: int, scv: float,
     return TransientModel(spec, K)
 
 
-# -- module-level point functions (picklable across the process pool) ---
+# -- module-level point functions ------------------------------------
 def _point_interdeparture(
     kind: str, role: str, K: int, N: int, scv: float, app: ApplicationModel,
 ) -> np.ndarray:

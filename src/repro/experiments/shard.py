@@ -43,9 +43,11 @@ the merged arrays hash-match the serial reference.
 ``reports``/``close``), so every figure module's ``executor=`` plumbing
 works unchanged.  Each claimed point runs through the same attempt loop
 as a serial sweep (:func:`~repro.experiments.executor.run_attempts`).
-``repro sweep-worker FIGURE --shard-dir DIR`` is the process entry point
-and ``repro experiment FIGURE --shard-dir DIR --workers N`` the
-convenience launcher.
+With ``jobs=N`` a worker forks ``N - 1`` local helpers onto its namespace
+before it starts sweeping and collects them before ``map`` returns; this
+is also how ``SweepExecutor(jobs=N)`` runs in parallel.
+``repro sweep-worker FIGURE --shard-dir DIR`` is the process entry point,
+and ``--jobs N`` makes it N local workers.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import pickle
 import signal
 import socket
 import threading
@@ -71,7 +74,8 @@ from repro.experiments.executor import (
 )
 from repro.experiments.journal import SweepJournal, fingerprint_point
 from repro.obs import runtime as _rt
-from repro.resilience.errors import LeaseError, ShardError
+from repro.obs.instrument import Instrumentation
+from repro.resilience.errors import LeaseError, ShardError, SweepError
 from repro.resilience.faults import SweepFaultPlan
 from repro.resilience.retry import RetryPolicy, jitter_fraction
 
@@ -269,11 +273,11 @@ class ShardExecutor:
 
     Duck-type compatible with
     :class:`~repro.experiments.executor.SweepExecutor` — figure modules
-    take it through the same ``executor=`` keyword.  Points run *inline*
-    in this process (the fleet of workers is the parallelism; there is no
-    nested pool and no per-point deadline — hung *peers* are handled by
-    lease expiry), supervised by the same
-    :class:`~repro.resilience.retry.RetryPolicy` attempt loop.
+    take it through the same ``executor=`` keyword.  Points run in the
+    worker processes (this one and its forked helpers), supervised by the
+    same :class:`~repro.resilience.retry.RetryPolicy` attempt loop and
+    per-attempt deadline as a serial sweep; *dead* peers are handled by
+    lease expiry.
 
     Every worker appends an advisory, CRC-sealed telemetry stream to
     ``telemetry/<worker>.tel.jsonl`` — lifecycle, progress/metric
@@ -287,6 +291,12 @@ class ShardExecutor:
         The shared namespace directory (any filesystem all workers see).
     worker_id:
         Stable unique id of this worker; defaults to ``<host>-<pid>``.
+    jobs:
+        Local worker processes: ``map`` forks ``jobs - 1`` helpers
+        (worker ids ``<worker_id>-1``, …) onto the namespace and joins as
+        the first.  Each helper pipes back its point outcomes, spans and
+        metrics; a point a helper computed is reported with the helper's
+        outcome, so the report reads as a serial run's would.
     lease_ttl:
         Seconds a lease lives without renewal.  The heartbeat renews at
         ``ttl / 3``; a worker dead longer than the TTL gets its points
@@ -299,9 +309,9 @@ class ShardExecutor:
         Per-point inline retry policy (default: 3 attempts).
     faults:
         :class:`~repro.resilience.faults.SweepFaultPlan` drill: point
-        faults (a crash degrades to a raise, as in serial mode) and claim
+        faults (hangs, raises; armed in every local worker) and claim
         faults (deaths mid-lease, stalled heartbeats, duplicate claims,
-        torn segments).
+        torn segments; armed in the first helper when ``jobs > 1``).
     """
 
     def __init__(
@@ -309,12 +319,15 @@ class ShardExecutor:
         shard_dir: str | Path,
         *,
         worker_id: str | None = None,
+        jobs: int = 1,
         lease_ttl: float = 30.0,
         poll: float = 0.1,
         retry: RetryPolicy | None = None,
         faults: SweepFaultPlan | None = None,
         version: str | None = None,
     ):
+        if jobs < 1 or int(jobs) != jobs:
+            raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
         if not lease_ttl > 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl!r}")
         if not poll > 0:
@@ -326,10 +339,15 @@ class ShardExecutor:
         #: this worker's point store: appends to its own segment, merges all
         self.store = SweepJournal(self.ns.root, version=self.ns.version,
                                   writer=self.worker_id)
+        self.jobs = int(jobs)
         self.lease_ttl = float(lease_ttl)
         self.poll = float(poll)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults if faults is not None else SweepFaultPlan()
+        faults = faults if faults is not None else SweepFaultPlan()
+        #: this worker's drill; with ``jobs > 1`` the claim faults go to
+        #: the first helper (``_helper_faults``) and never to this worker
+        self.faults = faults if self.jobs == 1 else faults.point_faults()
+        self._helper_faults = faults
         #: report of the most recent :meth:`map` (None before the first)
         self.report: SweepReport | None = None
         #: reports of every :meth:`map` on this executor, oldest first
@@ -348,6 +366,24 @@ class ShardExecutor:
                             "failed": 0, "idle": 0.0}
         self._shipped_spans: set[int] = set()
         self._steal_seq = 0
+        #: when set, only records these workers wrote count: a local
+        #: ``SweepExecutor`` run without ``resume`` reuses nothing older
+        self._owners: frozenset[str] | None = None
+
+    @property
+    def worker_ids(self) -> list[str]:
+        """This worker's id, then its local helpers' (``jobs > 1``)."""
+        return [self.worker_id] + [
+            f"{self.worker_id}-{k}" for k in range(1, self.jobs)
+        ]
+
+    def _records(self, figure: str) -> dict[str, dict]:
+        """The store's merged view, less records of other runs' workers
+        when :attr:`_owners` is set."""
+        records = self.store.records(figure)
+        return records if self._owners is None else {
+            fp: rec for fp, rec in records.items()
+            if rec.get("owner") in self._owners}
 
     # -- lease protocol ------------------------------------------------
     def _peek_lease(self, figure: str, fp: str) -> Lease | None:
@@ -614,17 +650,33 @@ class ShardExecutor:
         Every worker calls this with the *same* figure and calls; each
         point is computed by whichever worker claims it (or steals it
         from a dead claimant), and every worker returns the identical,
-        bit-exact assembled result list.
+        bit-exact assembled result list.  Local helpers (``jobs > 1``)
+        are forked first and reaped — or, on error and Ctrl-C, killed —
+        before this returns.
         """
         calls = list(calls)
         figure = label or getattr(fn, "__name__", "sweep")
-        fps = [
-            fingerprint_point(figure, args, self.ns.version) for args in calls
-        ]
         report = SweepReport(label=figure, total=len(calls))
         report.points = [PointOutcome(index=i) for i in range(len(calls))]
         self.report = report
         self.reports.append(report)
+        # Fork before this process starts its heartbeat thread.
+        helpers = self._fork_helpers(fn, calls, figure)
+        try:
+            results = self._sweep(fn, calls, figure, report)
+            self._reap(helpers, figure, report)
+        except BaseException:
+            self._reap(helpers, figure, None)
+            raise
+        if not report.complete:
+            raise report.beyond_retry("are in the shard segments")
+        return results
+
+    def _sweep(self, fn, calls, figure, report) -> list[Any]:
+        """This worker's claim loop; returns the results, complete or not."""
+        fps = [
+            fingerprint_point(figure, args, self.ns.version) for args in calls
+        ]
         ins = _rt.ACTIVE
 
         if self._tel_writer is None:
@@ -651,7 +703,7 @@ class ShardExecutor:
 
         def settle(status: str) -> None:
             done.update(settle_recorded(
-                self.store.records(figure), fps,
+                self._records(figure), fps,
                 [i for i in range(len(calls)) if i not in done],
                 report, results, status=status,
             ))
@@ -674,6 +726,12 @@ class ShardExecutor:
                     lease = self.try_claim(figure, fps[i], i)
                     if lease is None:
                         continue
+                    progressed = True
+                    if fps[i] in self._records(figure):
+                        # A peer recorded the point and released its
+                        # lease after our last merge: nothing to compute.
+                        self.release(lease)
+                        break
                     self.claims += 1
                     if self.faults.dies_now(self.claims):
                         # Drill: die holding the lease — no cleanup, no
@@ -702,7 +760,6 @@ class ShardExecutor:
                         done.add(i)
                     else:
                         local_failed.add(i)
-                    progressed = True
                     break  # refresh the merged view between points
                 settle("peer")
                 if progressed or len(done) >= len(calls):
@@ -744,10 +801,111 @@ class ShardExecutor:
                 stolen=counts["stolen"], failed=counts["failed"],
                 idle=round(counts["idle"], 6),
             )
-
-        if not report.complete:
-            raise report.beyond_retry("are in the shard segments")
         return results
+
+    # -- local helpers -------------------------------------------------
+    def _fork_helpers(self, fn, calls, figure) -> list[list]:
+        """Fork ``jobs - 1`` helpers onto this namespace; each is a
+        ``[pid, read fd, payload]`` entry (pid and fd ``None`` once
+        reaped).  A ``die-after-claim`` helper is reaped before any other
+        worker claims, so its lease is provably orphaned."""
+        helpers: list[list] = []
+        observe = _rt.ACTIVE is not None
+        try:
+            for k in range(1, self.jobs):
+                rfd, wfd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(rfd)
+                    self._helper_main(k, fn, calls, figure, wfd, observe)
+                os.close(wfd)
+                helpers.append([pid, rfd, None])
+                if k == 1 and self._helper_faults.die_after_claims is not None:
+                    self._reap_one(helpers[-1])
+        except BaseException:
+            self._reap(helpers, figure, None)
+            raise
+        return helpers
+
+    def _helper_main(self, k, fn, calls, figure, wfd, observe) -> None:
+        """Body of forked helper ``k``: sweep as ``<worker_id>-<k>`` and
+        pipe back ``(outcomes, spans, metrics)``.  Never returns."""
+        try:
+            ins = Instrumentation.enabled() if observe else None
+            with nullcontext() if ins is None else ins.activate():
+                peer = ShardExecutor(
+                    self.ns.root, worker_id=f"{self.worker_id}-{k}",
+                    lease_ttl=self.lease_ttl, poll=self.poll,
+                    retry=self.retry, version=self.ns.version,
+                    faults=self._helper_faults if k == 1 else self.faults,
+                )
+                peer._owners = self._owners
+                with peer:
+                    try:
+                        peer.map(fn, calls, label=figure)
+                    except SweepError:
+                        pass  # its report holds the failures
+            payload = (peer.report.points,
+                       ins.tracer.spans if ins is not None else None,
+                       ins.metrics if ins is not None else None)
+            with os.fdopen(wfd, "wb") as fh:
+                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)  # an error or Ctrl-C: exit without a payload
+
+    @staticmethod
+    def _reap_one(helper: list) -> None:
+        """Read a helper's payload to EOF, then wait for it (idempotent)."""
+        pid, fd, _ = helper
+        if fd is not None:
+            with os.fdopen(fd, "rb") as fh:
+                helper[1] = None
+                data = fh.read()
+            try:
+                helper[2] = pickle.loads(data)
+            except Exception:  # killed mid-send, or sent nothing
+                pass
+        if pid is not None:
+            os.waitpid(pid, 0)
+            helper[0] = None
+
+    def _reap(self, helpers: list[list], figure: str,
+              report: SweepReport | None) -> None:
+        """Collect every helper.  Without a ``report`` (error, Ctrl-C)
+        SIGKILL them and free the leases they held; with one, graft each
+        helper's spans, merge its metrics, and give each point it
+        computed — settled here as ``peer`` — the helper's own outcome."""
+        if report is None:
+            for pid, _fd, _ in helpers:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+        for helper in helpers:
+            self._reap_one(helper)
+        if report is None:
+            ours = set(self.worker_ids[1:])
+            for path in self.ns.leases.glob(f"{figure}.*.lease.json"):
+                try:
+                    if Lease.from_json(path.read_text()).owner in ours:
+                        path.unlink(missing_ok=True)
+                except (OSError, LeaseError):
+                    pass  # gone already, or torn: a peer clears it
+            return
+        ins = _rt.ACTIVE
+        for _pid, _fd, payload in helpers:
+            if payload is None:
+                continue  # SIGKILLed: sent nothing
+            points, spans, metrics = payload
+            if ins is not None:
+                if spans and ins.tracer is not None:
+                    ins.tracer.graft(spans)
+                if metrics is not None and ins.metrics is not None:
+                    ins.metrics.merge(metrics)
+            for theirs in points:
+                mine = report.points[theirs.index]
+                if mine.status == "peer" and theirs.attempts \
+                        and theirs.owner == mine.owner:
+                    report.points[theirs.index] = theirs
 
     def _any_live_peer_lease(
         self, figure: str, fps: list[str], indices: list[int]

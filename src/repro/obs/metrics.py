@@ -78,7 +78,7 @@ class _Metric:
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pool workers ship their registry back through pickle; the lock
+        # Local shard helpers pipe their registry back pickled; the lock
         # is process-local state and is recreated on the other side.
         state = self.__dict__.copy()
         del state["_lock"]
@@ -425,11 +425,9 @@ CATALOG: tuple[tuple[str, str, str], ...] = (
     ("counter", "repro_point_retries_total",
      "Sweep point attempts retried by the supervisor, by failure reason"),
     ("counter", "repro_points_salvaged_total",
-     "Sweep points recovered by the inline-fallback rung in the parent"),
+     "Sweep points recovered by the fallback attempt (no drill, no deadline)"),
     ("counter", "repro_points_resumed_total",
      "Sweep points skipped by reusing a checkpoint journal record"),
-    ("counter", "repro_pool_rebuilds_total",
-     "Worker pools killed and rebuilt by the supervisor, by cause"),
     ("counter", "repro_checkpoint_writes_total",
      "Completed sweep points appended to a checkpoint journal"),
     ("counter", "repro_leases_acquired_total",

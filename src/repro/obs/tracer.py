@@ -203,13 +203,13 @@ class Tracer:
 
     def graft(self, spans: list[Span], *, offset: float | None = None,
               attrs: dict[str, Any] | None = None) -> None:
-        """Adopt spans recorded by another tracer (process-pool workers).
+        """Adopt spans recorded by another tracer (local shard helpers).
 
         Foreign spans keep their relative structure: parent links are
         re-indexed into this tracer's flat list.  Only closed spans are
         adopted.  Two alignment modes:
 
-        * ``offset=None`` (pool-worker flush): roots are attached under
+        * ``offset=None`` (helper flush): roots are attached under
           the innermost open span (if any) and start offsets are re-based
           to this tracer's clock at graft time, so the merged timeline
           stays monotone even though worker clocks are unrelated.

@@ -33,6 +33,7 @@ __all__ = [
     "BudgetExceededError",
     "SpectralFallbackError",
     "InjectedFaultError",
+    "PointTimeoutError",
     "SweepError",
     "ShardError",
     "LeaseError",
@@ -258,7 +259,7 @@ class SpectralFallbackError(SolverError):
 class InjectedFaultError(SolverError):
     """A deterministic drill fault fired (tests and fault drills only).
 
-    ``mode`` is one of ``"crash"``, ``"hang"``, ``"fail"``; ``index`` and
+    ``mode`` is ``"hang"`` or ``"fail"``; ``index`` and
     ``attempt`` identify the sweep point and the 1-based attempt the
     fault was keyed on.
     """
@@ -286,12 +287,24 @@ class InjectedFaultError(SolverError):
         return ctx
 
 
+class PointTimeoutError(SolverError):
+    """A sweep point attempt overran its ``RetryPolicy.timeout`` deadline.
+
+    Raised from the ``SIGALRM`` handler that
+    :func:`~repro.experiments.executor.run_attempts` arms around each
+    attempt; the attempt is charged ``timeout`` and retried.
+    """
+
+    reason = "timeout"
+
+
 class SweepError(SolverError):
     """A figure sweep could not complete: points failed beyond retry.
 
-    Raised by :class:`~repro.experiments.executor.SweepExecutor` after
-    supervision exhausts every attempt (pool retries plus the inline
-    fallback) for at least one point.  Carries the run's
+    Raised by :class:`~repro.experiments.executor.SweepExecutor` and
+    :class:`~repro.experiments.shard.ShardExecutor` after supervision
+    exhausts every attempt (retries plus the fallback) for at least one
+    point.  Carries the run's
     :class:`~repro.experiments.executor.SweepReport` as :attr:`report`,
     so callers can tell salvaged partial work from a total loss; any
     completed point is already persisted when a checkpoint journal is

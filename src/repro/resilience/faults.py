@@ -22,27 +22,24 @@ surface (:class:`~repro.resilience.guards.LevelView`), so the solver code
 under test is byte-for-byte the production code.
 
 One layer up, :class:`SweepFaultPlan` manufactures *process-level*
-accidents for every sweep runtime — the serial and pooled
+accidents for every sweep runtime — the serial
 :class:`~repro.experiments.executor.SweepExecutor` and the lease-based
-:class:`~repro.experiments.shard.ShardExecutor`.  Point faults key on the
-point index and the 1-based attempt number: a worker that SIGKILLs itself
-mid-point (``crash_point`` — the parent sees ``BrokenProcessPool`` and
-must rebuild the pool), a worker that hangs past any deadline
-(``hang_point``), and a point function that raises (``fail_point``).
-Claim faults key on a shard worker's own lease-claim count: death
-holding a lease, a stalled heartbeat, claims that bypass the lease, and
+:class:`~repro.experiments.shard.ShardExecutor` behind ``--jobs`` and
+``--shard-dir``.  Point faults key on the point index and the 1-based
+attempt number: a point that hangs past its deadline (``hang_point``)
+and a point function that raises (``fail_point``).  Claim faults key on
+a shard worker's own lease-claim count: death holding a lease (a real
+``SIGKILL``), a stalled heartbeat, claims that bypass the lease, and
 torn segment appends.  :meth:`SweepFaultPlan.parse` reads the CLI's
 ``--drill KIND@N`` grammar from one table, :data:`SWEEP_DRILLS`, so every
-supervision branch (timeout, rebuild, retry, inline salvage, steal,
-quarantine) has a reproducible drill.
+supervision branch (timeout, retry, salvage, steal, quarantine) has a
+reproducible drill.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,7 +212,7 @@ def apply_faults(ops: LevelOperators, plan: "FaultPlan | None"):
 
 
 # ----------------------------------------------------------------------
-# Sweep-level faults: drills for every sweep runtime (serial, pool, shard).
+# Sweep-level faults: drills for every sweep runtime (serial and shard).
 #: Placeholder in :data:`SWEEP_DRILLS` for the number after ``@``.
 _COUNT = object()
 
@@ -224,8 +221,6 @@ _COUNT = object()
 #: worker-local ``claims`` count (optional, default 1, >= 1; shard
 #: workers only — the two boolean kinds check it and ignore it).
 SWEEP_DRILLS = {
-    "crash": ("index", {"crash_point": _COUNT}),
-    "crash-always": ("index", {"crash_point": _COUNT, "crash_attempts": None}),
     "hang": ("index", {"hang_point": _COUNT}),
     "hang-always": ("index", {"hang_point": _COUNT, "hang_attempts": None}),
     "fail": ("index", {"fail_point": _COUNT}),
@@ -241,12 +236,11 @@ class SweepFaultPlan:
     """Deterministic process-level faults for sweep supervision drills.
 
     Point faults name a *point index* and the number of leading attempts
-    they fire on: ``crash_attempts=1`` (the default) kills only the first
-    attempt, so the supervised retry succeeds and the point ends up
-    ``retried``; ``crash_attempts=None`` kills every pool attempt, so
-    only the inline-fallback rung in the parent can salvage the point.
-    Faults never fire on the inline fallback itself — the parent process
-    is the rung being drilled, not the target.
+    they fire on: ``hang_attempts=1`` (the default) hangs only the first
+    attempt, so the deadline trips, the retry succeeds and the point ends
+    up ``retried``; ``hang_attempts=None`` hangs every attempt, so only
+    the fallback attempt, which runs with no drill and no deadline, can
+    salvage the point.  Faults never fire on the fallback attempt itself.
 
     Claim faults drive the lease/steal/merge machinery of
     :class:`~repro.experiments.shard.ShardExecutor`.  They key on the
@@ -257,19 +251,13 @@ class SweepFaultPlan:
 
     Parameters
     ----------
-    crash_point:
-        Index whose worker SIGKILLs itself (``BrokenProcessPool`` in the
-        parent; raises :class:`InjectedFaultError` when the attempt runs
-        inline, where a real SIGKILL would take the parent down with it).
-    crash_attempts:
-        Attempts (1-based, leading) that crash; ``None`` = all pool
-        attempts.
     hang_point / hang_attempts:
-        Index whose worker sleeps ``hang_seconds`` — long past any sane
-        per-point deadline — exercising timeout detection and the
-        kill-and-rebuild path.  Inline, it raises instead of sleeping.
+        Index whose attempt sleeps ``hang_seconds`` — long past any sane
+        per-point deadline — exercising the ``RetryPolicy.timeout``
+        interrupt.  Without a deadline the sleep runs out and the attempt
+        raises :class:`InjectedFaultError`.
     hang_seconds:
-        How long a hung worker sleeps (default one hour).
+        How long a hung attempt sleeps (default one hour).
     fail_point / fail_attempts:
         Index whose attempt raises :class:`InjectedFaultError` inside the
         point function, exercising the plain exception-retry branch.
@@ -297,8 +285,6 @@ class SweepFaultPlan:
         every reader.
     """
 
-    crash_point: int | None = None
-    crash_attempts: int | None = 1
     hang_point: int | None = None
     hang_attempts: int | None = 1
     hang_seconds: float = 3600.0
@@ -324,14 +310,19 @@ class SweepFaultPlan:
     def active(self) -> bool:
         """True when any fault is armed."""
         return (
-            self.crash_point is not None
-            or self.hang_point is not None
+            self.hang_point is not None
             or self.fail_point is not None
             or self.claims_armed
         )
 
+    def point_faults(self) -> "SweepFaultPlan":
+        """This plan with every claim fault disarmed."""
+        return replace(self, die_after_claims=None,
+                       stall_heartbeat_after=None, duplicate_claim=False,
+                       tear_segment=False)
+
     def fires(self, kind: str, index: int, attempt: int) -> bool:
-        """True when point fault ``kind`` (crash/hang/fail) fires on
+        """True when point fault ``kind`` (hang/fail) fires on
         ``(index, attempt)``."""
         attempts = getattr(self, f"{kind}_attempts")
         return getattr(self, f"{kind}_point") == index and (
@@ -348,7 +339,7 @@ class SweepFaultPlan:
 
     @classmethod
     def parse(cls, text: str) -> "SweepFaultPlan":
-        """Parse one ``--drill`` spec like ``"crash@1"`` (see
+        """Parse one ``--drill`` spec like ``"fail@1"`` (see
         :data:`SWEEP_DRILLS`); raises ``ValueError`` on nonsense."""
         kind, _sep, count_text = text.partition("@")
         if kind not in SWEEP_DRILLS:
@@ -374,35 +365,22 @@ class SweepFaultPlan:
 
 
 def trigger_point_fault(
-    plan: "SweepFaultPlan | None",
-    index: int,
-    attempt: int,
-    *,
-    inline: bool = False,
+    plan: "SweepFaultPlan | None", index: int, attempt: int
 ) -> None:
     """Fire the armed point fault for ``(index, attempt)``, if any.
 
-    Called at the top of every supervised point attempt.  In a pool
-    worker (``inline=False``) a crash is a genuine ``SIGKILL`` and a hang
-    a genuine sleep; inline both degrade to a raised
-    :class:`InjectedFaultError`, so a drilled serial sweep exercises the
-    same retry bookkeeping — and produces the same final results — as the
-    pooled one without killing the parent process.
+    Called at the top of every drilled point attempt.  A hang really
+    sleeps, so the attempt's deadline interrupts it; a hang that outlives
+    its sleep, and a fail, raise :class:`InjectedFaultError`.
     """
-    if plan is None:
-        return
-    for kind, what in (("crash", "crash"), ("hang", "hang"),
-                       ("fail", "failure")):
-        if not plan.fires(kind, index, attempt):
-            continue
-        if kind == "crash" and not inline:
-            os.kill(os.getpid(), signal.SIGKILL)  # no cleanup, by design
-        if kind == "hang" and not inline:
-            time.sleep(plan.hang_seconds)
-        raise InjectedFaultError(
-            f"injected fault: {what} of point {index} (attempt {attempt})",
-            mode=kind, index=index, attempt=attempt,
-        )
+    for kind in ("hang", "fail"):
+        if plan is not None and plan.fires(kind, index, attempt):
+            if kind == "hang":
+                time.sleep(plan.hang_seconds)  # a deadline cuts this short
+            raise InjectedFaultError(
+                f"injected fault: {kind} of point {index} (attempt {attempt})",
+                mode=kind, index=index, attempt=attempt,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,20 @@
 """Declarative retry policy for the supervised sweep runtime.
 
-A sweep point that dies — worker crash, wall-clock timeout, or an
-exception inside the point function — is re-run according to a
-:class:`RetryPolicy`: up to ``max_attempts`` total attempts, separated by
-exponential backoff.  The backoff carries *deterministic* jitter derived
-from the point index and attempt number (a splitmix64-style integer
-hash — no ``random`` anywhere near the hot path), so two runs of the same
-sweep schedule byte-identical delays and the assembled results stay
-bit-identical at any ``jobs``.
+A sweep point that fails — a deadline overrun, or an exception inside
+the point function — is re-run according to a :class:`RetryPolicy`: up
+to ``max_attempts`` total attempts, separated by exponential backoff,
+each bounded by an optional per-attempt ``timeout``.  The backoff carries
+*deterministic* jitter derived from the point index and attempt number (a
+splitmix64-style integer hash — no ``random`` anywhere near the hot
+path), so two runs of the same sweep schedule byte-identical delays and
+the assembled results stay bit-identical at any ``jobs``.
 
 The final attempt is special: when ``inline_fallback`` is set (the
-default) it runs *inline in the parent process*, outside the process
-pool, mirroring the degradation ladder's shape one layer up — the pool is
-the fast path, the parent is the rung that cannot be killed by a broken
-worker.  Deterministic fault plans (:class:`~repro.resilience.faults.
-SweepFaultPlan`) never fire on the fallback attempt, so every drill has a
-guaranteed recovery rung.
+default) it runs with no injected fault and no deadline, mirroring the
+degradation ladder's shape one layer up — the rung that no drill and no
+timer can stop.  Deterministic fault plans (:class:`~repro.resilience.
+faults.SweepFaultPlan`) never fire on the fallback attempt, so every
+drill has a guaranteed recovery rung.
 """
 
 from __future__ import annotations
@@ -66,9 +65,12 @@ class RetryPolicy:
         ``0.25`` means up to +25 %, deterministically derived from the
         point index and attempt number.
     inline_fallback:
-        Run the final attempt inline in the parent process (no pool, no
-        injected faults, no timeout) so a point survives even a worker
-        population that keeps dying under it.
+        Run the final attempt with no injected fault and no deadline, so
+        a drilled or slow point still completes.
+    timeout:
+        Per-attempt wall-clock deadline in seconds, or ``None``.  An
+        attempt past it is interrupted (``SIGALRM``; main thread only)
+        and charged ``timeout``.
     """
 
     max_attempts: int = 3
@@ -77,6 +79,7 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.25
     inline_fallback: bool = True
+    timeout: float | None = None
 
     def __post_init__(self):
         if self.max_attempts < 1 or int(self.max_attempts) != self.max_attempts:
@@ -91,16 +94,11 @@ class RetryPolicy:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay!r}")
         if self.jitter < 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter!r}")
-
-    @property
-    def pool_attempts(self) -> int:
-        """Attempts that may run in a worker before the inline fallback."""
-        if self.inline_fallback and self.max_attempts > 1:
-            return self.max_attempts - 1
-        return self.max_attempts
+        if self.timeout is not None and not self.timeout > 0.0:
+            raise ValueError(f"timeout must be positive seconds, got {self.timeout!r}")
 
     def is_fallback(self, attempt: int) -> bool:
-        """True when ``attempt`` (1-based) is the inline-fallback attempt."""
+        """True when ``attempt`` (1-based) is the fallback attempt."""
         return (
             self.inline_fallback
             and self.max_attempts > 1

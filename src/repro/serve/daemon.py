@@ -113,6 +113,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -420,11 +421,17 @@ class ServeDaemon:
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line {lines[0]!r}")
         method, path, version = parts[0].upper(), parts[1], parts[2].upper()
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
+        fields = [(name.strip().lower(), value.strip())
+                  for name, _, value in (line.partition(":")
+                                         for line in lines[1:] if ":" in line)]
+        headers = dict(fields)
+        # RFC 9112 §6.1 and §6.3: no chunked bodies here, and differing
+        # Content-Length values leave the message length unknown.
+        if "transfer-encoding" in headers:
+            raise _HttpError(501, "Transfer-Encoding is not supported; "
+                                  "send a Content-Length body")
+        if len({v for n, v in fields if n == "content-length"}) > 1:
+            raise _HttpError(400, "conflicting Content-Length headers")
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _HttpError(400, f"malformed Content-Length {raw_length!r}")

@@ -1,16 +1,14 @@
 """SweepExecutor: determinism across jobs, telemetry round-trip, pickling."""
 
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.distributions import Shape
-from repro.experiments.executor import (
-    SweepExecutor,
-    latency_summary,
-    pool_worker,
-)
+from repro.experiments.executor import SweepExecutor, latency_summary
 from repro.obs import Instrumentation
 
 
@@ -67,11 +65,17 @@ class TestExecutorBasics:
 
     def test_pool_matches_inline(self):
         calls = [(i, 4) for i in range(5)]
+        before = set(os.listdir(tempfile.gettempdir()))
         inline = SweepExecutor(1).map(_tagged, calls)
         pooled = SweepExecutor(2).map(_tagged, calls)
         assert len(inline) == len(pooled)
         for a, b in zip(inline, pooled):
             assert np.array_equal(a, b)
+        # no helper left running, no private namespace left behind
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        after = set(os.listdir(tempfile.gettempdir()))
+        assert not [d for d in after - before if d.startswith("repro-sweep-")]
 
 
 class TestFigureDeterminism:
@@ -92,6 +96,22 @@ class TestFigureDeterminism:
         for name in serial.series:
             assert np.array_equal(serial.series[name], pooled.series[name])
 
+    def test_fig03_identical_at_jobs_3(self):
+        from repro.experiments import fig03
+
+        serial = fig03.run(executor=SweepExecutor(jobs=1))
+        local = fig03.run(executor=SweepExecutor(jobs=3))
+        for name in serial.series:
+            assert np.array_equal(serial.series[name], local.series[name])
+
+    def test_fig14_identical_at_jobs_2(self):
+        from repro.experiments import fig14
+
+        serial = fig14.run(executor=SweepExecutor(jobs=1))
+        local = fig14.run(executor=SweepExecutor(jobs=2))
+        for name in serial.series:
+            assert np.array_equal(serial.series[name], local.series[name])
+
 
 class TestTelemetryRoundTrip:
     def test_inline_sweep_spans_and_counter(self):
@@ -105,28 +125,17 @@ class TestTelemetryRoundTrip:
         assert counter.value(mode="inline") == 3
 
     def test_pool_grafts_spans_and_merges_metrics(self):
+        # Local shard helpers ship their spans and metrics back to the
+        # parent, which grafts and merges them with its own.
         ins = Instrumentation.enabled(measure_rss=False)
         with ins.activate():
             SweepExecutor(2).map(_square, [(1,), (2,), (3,), (4,)])
         spans = [sp for sp in ins.tracer.spans if sp.name == "sweep_point"]
         assert len(spans) == 4
-        assert all(sp.attrs["mode"] == "pool" for sp in spans)
+        assert all(sp.attrs["mode"] == "shard" for sp in spans)
         assert ins.tracer.open_spans == 0
         counter = ins.metrics.counter("repro_sweep_points_total")
-        assert counter.value(mode="pool") == 4
-
-    def test_pool_worker_unobserved_ships_no_telemetry(self):
-        value, spans, metrics, seconds = pool_worker(_square, (3,), False)
-        assert value == 9
-        assert spans is None and metrics is None
-        assert seconds > 0.0
-
-    def test_pool_worker_observed_ships_telemetry(self):
-        value, spans, metrics, seconds = pool_worker(_square, (3,), True)
-        assert value == 9
-        assert [sp.name for sp in spans] == ["sweep_point"]
-        assert metrics.counter("repro_sweep_points_total") is not None
-        assert seconds > 0.0
+        assert counter.value(mode="shard") == 4
 
 
 class TestShapePickling:

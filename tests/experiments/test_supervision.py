@@ -1,34 +1,31 @@
-"""Sweep supervision: crash/hang/fail drills, checkpoints, resume, Ctrl-C.
+"""Sweep supervision: helper-kill/hang/fail drills, checkpoints, resume, Ctrl-C.
 
-Every drill here is deterministic (:class:`SweepFaultPlan` keys faults on
-point index and attempt number), so each supervision branch — worker
-SIGKILL and pool rebuild, deadline timeout, exception retry, inline
-salvage, journal resume, KeyboardInterrupt — has a reproducible test, and
-every recovery is asserted *bit-identical* to the unfaulted serial run.
+Every drill here is deterministic (:class:`SweepFaultPlan` keys point
+faults on point index and attempt number, claim faults on a worker's
+claim count), so each supervision branch — helper SIGKILL and lease
+steal, deadline timeout, exception retry, fallback salvage, journal
+resume, KeyboardInterrupt — has a reproducible test, and every recovery
+is asserted *bit-identical* to the unfaulted serial run.
 """
+
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
 
-from repro.experiments import executor as executor_module
-from repro.experiments.executor import (
-    SweepExecutor,
-    WorkerFailure,
-    pool_worker,
-)
+from repro.experiments.executor import PointOutcome, SweepExecutor, run_attempts
 from repro.experiments.journal import (
     SweepJournal,
     decode_value,
     encode_value,
     fingerprint_point,
 )
+from repro.experiments.shard import ShardExecutor
 from repro.obs import Instrumentation
-from repro.resilience.errors import (
-    InjectedFaultError,
-    NumericalHealthError,
-    SweepError,
-)
-from repro.resilience.faults import SweepFaultPlan, trigger_point_fault
+from repro.resilience.errors import SweepError
+from repro.resilience.faults import SweepFaultPlan
 from repro.resilience.retry import RetryPolicy
 
 #: Fast, deterministic retry schedule for drills.
@@ -51,8 +48,28 @@ def _boom(x):
     raise RuntimeError(f"boom {x}")
 
 
-def _health_fail(x):
-    raise NumericalHealthError("injected health failure", where="test")
+def _interrupt_after(n, path):
+    """Point function raising ``KeyboardInterrupt`` in whichever worker
+    runs the ``n``-th point overall (``path`` counts across processes)."""
+    def point(x):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, b".")
+        os.close(fd)
+        if os.path.getsize(path) > n:
+            raise KeyboardInterrupt
+        return _arr(x)
+
+    point.__name__ = "_arr"
+    return point
+
+
+def _no_helpers_left():
+    """True once every forked helper of this process has been reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 CALLS = [(float(i),) for i in range(6)]
@@ -86,14 +103,14 @@ class TestRetryPolicy:
 
     def test_fallback_accounting(self):
         p = RetryPolicy(max_attempts=3)
-        assert p.pool_attempts == 2
         assert not p.is_fallback(2)
         assert p.is_fallback(3)
         lone = RetryPolicy(max_attempts=1)
-        assert lone.pool_attempts == 1
         assert not lone.is_fallback(1)
-        no_inline = RetryPolicy(max_attempts=3, inline_fallback=False)
-        assert no_inline.pool_attempts == 3
+        no_fallback = RetryPolicy(max_attempts=3, inline_fallback=False)
+        assert not no_fallback.is_fallback(3)
+        with pytest.raises(ValueError):
+            RetryPolicy(timeout=0.0)
 
 
 class TestFaultPlan:
@@ -102,90 +119,56 @@ class TestFaultPlan:
         assert plan.fires("fail", 2, 1)
         assert not plan.fires("fail", 2, 2)
         assert not plan.fires("fail", 1, 1)
-        assert not plan.fires("crash", 2, 1)
-        always = SweepFaultPlan(crash_point=0, crash_attempts=None)
-        assert always.fires("crash", 0, 99)
-
-    def test_inline_crash_degrades_to_exception(self):
-        plan = SweepFaultPlan(crash_point=0)
-        with pytest.raises(InjectedFaultError) as err:
-            trigger_point_fault(plan, 0, 1, inline=True)
-        assert err.value.mode == "crash"
-        trigger_point_fault(plan, 0, 2, inline=True)  # disarmed: no raise
-
-
-# ----------------------------------------------------------------------
-class TestWorkerEnvelope:
-    def test_failure_keeps_telemetry(self):
-        # Satellite fix: a raising point must not drop its spans/metrics.
-        value, spans, metrics, seconds = pool_worker(_boom, (1.0,), True)
-        assert isinstance(value, WorkerFailure)
-        assert value.reason == "exception"
-        assert spans and spans[0].name == "sweep_point"
-        assert metrics is not None
-        assert seconds > 0.0
-
-    def test_solver_error_reason_is_preserved(self):
-        value, _, _, _ = pool_worker(_health_fail, (1.0,), True)
-        assert isinstance(value, WorkerFailure)
-        assert value.reason == "numerical-health"
-        assert value.kind == "NumericalHealthError"
-
-    def test_unobserved_failure_still_enveloped(self):
-        value, spans, metrics, _seconds = pool_worker(_boom, (1.0,), False)
-        assert isinstance(value, WorkerFailure)
-        assert spans is None and metrics is None
+        assert not plan.fires("hang", 2, 1)
+        always = SweepFaultPlan(hang_point=0, hang_attempts=None)
+        assert always.fires("hang", 0, 99)
+        drill = SweepFaultPlan(fail_point=1, die_after_claims=1)
+        assert drill.point_faults() == SweepFaultPlan(fail_point=1)
 
 
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
-    def test_sigkill_crash_is_retried_bit_identically(self):
+    """A helper SIGKILLed holding a lease: the survivor steals the point."""
+
+    def test_helper_sigkill_is_stolen_bit_identically(self, tmp_path):
         ref = _reference()
-        ex = SweepExecutor(4, retry=FAST, faults=SweepFaultPlan(crash_point=1))
-        out = ex.map(_arr, CALLS)
+        ex = ShardExecutor(tmp_path / "ns", jobs=2, lease_ttl=0.5,
+                           poll=0.02, retry=FAST,
+                           faults=SweepFaultPlan(die_after_claims=1))
+        with ex:
+            out = ex.map(_arr, CALLS, label="figK")
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
         rep = ex.report
         assert rep.complete
-        assert rep.points[1].status == "retried"
-        assert rep.points[1].failures == ["attempt 1: pool-broken"]
-        assert rep.pool_rebuilds >= 1
+        assert rep.stolen == 1 and rep.peer == 0
+        (stolen,) = [p for p in rep.points if p.status == "stolen"]
+        assert stolen.owner == ex.worker_id and stolen.generation == 2
         assert rep.exit_code() == 1
+        assert _no_helpers_left()
 
-    def test_crash_every_pool_attempt_salvaged_inline(self):
-        ref = _reference()
-        ex = SweepExecutor(
-            2, retry=FAST,
-            faults=SweepFaultPlan(crash_point=0, crash_attempts=None),
-        )
-        out = ex.map(_arr, CALLS)
-        for a, b in zip(ref, out):
-            assert np.array_equal(a, b)
-        rep = ex.report
-        assert rep.points[0].status == "salvaged"
-        assert rep.points[0].attempts == FAST.max_attempts
-        assert rep.salvaged == 1 and rep.exit_code() == 1
-
-    def test_rebuild_metrics_and_retry_spans(self):
+    def test_steal_metrics_and_spans(self, tmp_path):
         ins = Instrumentation.enabled(measure_rss=False)
         with ins.activate():
-            ex = SweepExecutor(2, retry=FAST,
-                               faults=SweepFaultPlan(crash_point=1))
-            ex.map(_arr, CALLS)
-        retries = ins.metrics.counter("repro_point_retries_total")
-        assert retries.value(reason="pool-broken") >= 1
-        rebuilds = ins.metrics.counter("repro_pool_rebuilds_total")
-        assert rebuilds.value(cause="crash") == ex.report.pool_rebuilds
+            with ShardExecutor(tmp_path / "ns", jobs=2, lease_ttl=0.5,
+                               poll=0.02, retry=FAST,
+                               faults=SweepFaultPlan(die_after_claims=1)) as ex:
+                ex.map(_arr, CALLS, label="figK")
+        assert ins.metrics.counter("repro_points_stolen_total").value() == 1
+        points = ins.metrics.counter("repro_sweep_points_total")
+        assert points.value(mode="shard") == len(CALLS)
         names = [sp.name for sp in ins.tracer.spans]
-        assert "point_retry" in names
+        assert names.count("sweep_point") == len(CALLS)
         assert ins.tracer.open_spans == 0
 
 
 class TestTimeoutRecovery:
-    def test_hang_times_out_then_pool_retry_succeeds(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hang_times_out_then_retry_succeeds(self, jobs):
         ref = _reference()
         ex = SweepExecutor(
-            2, timeout=0.5, retry=FAST,
+            jobs, retry=RetryPolicy(max_attempts=3, base_delay=0.01,
+                                    max_delay=0.02, timeout=0.5),
             faults=SweepFaultPlan(hang_point=2, hang_seconds=60.0),
         )
         out = ex.map(_arr, CALLS)
@@ -194,13 +177,13 @@ class TestTimeoutRecovery:
         rep = ex.report
         assert rep.points[2].status == "retried"
         assert rep.points[2].failures[0] == "attempt 1: timeout"
-        assert rep.pool_rebuilds >= 1
+        assert rep.exit_code() == 1
 
     def test_persistent_hang_salvaged_by_inline_fallback(self):
         ref = _reference()
         ex = SweepExecutor(
-            2, timeout=0.5,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            2, retry=RetryPolicy(max_attempts=2, base_delay=0.01,
+                                 timeout=0.5),
             faults=SweepFaultPlan(hang_point=0, hang_attempts=None,
                                   hang_seconds=60.0),
         )
@@ -208,7 +191,31 @@ class TestTimeoutRecovery:
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
         assert ex.report.points[0].status == "salvaged"
+        assert ex.report.points[0].failures == ["attempt 1: timeout"]
         assert ex.report.exit_code() == 1
+
+    def test_deadline_restores_the_alarm_handler(self):
+        before = signal.getsignal(signal.SIGALRM)
+        ok, value = run_attempts(_arr, (1.0,), PointOutcome(index=0),
+                                 RetryPolicy(timeout=5.0), None, mode="inline")
+        assert ok and np.array_equal(value, _arr(1.0))
+        assert signal.getsignal(signal.SIGALRM) is before
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    def test_deadline_off_the_main_thread_is_refused(self):
+        errors = []
+
+        def run():
+            try:
+                run_attempts(_arr, (1.0,), PointOutcome(index=0),
+                             RetryPolicy(timeout=5.0), None, mode="inline")
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=run)
+        t.start()
+        t.join()
+        assert errors and "main thread" in str(errors[0])
 
 
 class TestFailureAndDeterminism:
@@ -343,50 +350,32 @@ class TestCheckpointResume:
 
 # ----------------------------------------------------------------------
 class TestInterrupt:
-    def test_ctrl_c_flushes_journal_and_marks_report(self, tmp_path,
-                                                     monkeypatch):
-        real_wait = executor_module._wait
-        state = {"calls": 0}
-
-        def interrupting_wait(fs, timeout=None, return_when=None):
-            state["calls"] += 1
-            if state["calls"] >= 2:
-                raise KeyboardInterrupt
-            return real_wait(fs, timeout=timeout, return_when=return_when)
-
-        monkeypatch.setattr(executor_module, "_wait", interrupting_wait)
-        with SweepJournal(tmp_path) as j:
+    def test_ctrl_c_flushes_journal_and_marks_report(self, tmp_path):
+        point = _interrupt_after(3, str(tmp_path / "count"))
+        with SweepJournal(tmp_path / "ckpt") as j:
             ex = SweepExecutor(2, journal=j)
             with pytest.raises(KeyboardInterrupt):
-                ex.map(_arr, CALLS, label="figC")
+                ex.map(point, CALLS, label="figC")
+        assert _no_helpers_left()
         rep = ex.report
         assert rep.interrupted and not rep.complete
         assert rep.exit_code() == 2
         assert "INTERRUPTED" in rep.summary()
-        # every point collected before the interrupt is on disk
-        done = {p.index for p in rep.points if p.status == "ok"}
+        # every point this process finished before the interrupt is on disk
+        done = {p.index for p in rep.points if p.status in ("ok", "peer")}
         assert len(done) >= 1
-        with SweepJournal(tmp_path) as j2:
+        with SweepJournal(tmp_path / "ckpt") as j2:
             for i in done:
                 hit, value = j2.lookup("figC", CALLS[i])
                 assert hit and np.array_equal(value, _arr(*CALLS[i]))
+        assert not list((tmp_path / "ckpt" / "leases").glob("figC.*"))
 
-    def test_interrupted_run_is_resumable(self, tmp_path, monkeypatch):
-        real_wait = executor_module._wait
-        state = {"calls": 0}
-
-        def interrupting_wait(fs, timeout=None, return_when=None):
-            state["calls"] += 1
-            if state["calls"] >= 2:
-                raise KeyboardInterrupt
-            return real_wait(fs, timeout=timeout, return_when=return_when)
-
-        monkeypatch.setattr(executor_module, "_wait", interrupting_wait)
-        with SweepJournal(tmp_path) as j:
+    def test_interrupted_run_is_resumable(self, tmp_path):
+        point = _interrupt_after(3, str(tmp_path / "count"))
+        with SweepJournal(tmp_path / "ckpt") as j:
             with pytest.raises(KeyboardInterrupt):
-                SweepExecutor(2, journal=j).map(_arr, CALLS, label="figR")
-        monkeypatch.setattr(executor_module, "_wait", real_wait)
-        with SweepJournal(tmp_path) as j2:
+                SweepExecutor(2, journal=j).map(point, CALLS, label="figR")
+        with SweepJournal(tmp_path / "ckpt") as j2:
             ex = SweepExecutor(1, journal=j2, resume=True)
             out = ex.map(_arr, CALLS, label="figR")
         assert ex.report.resumed >= 1

@@ -153,6 +153,6 @@ class TestReportArtifact:
             result.sweep_reports.clear()
         doc = json.loads((tmp_path / "r.json").read_text())
         (entry,) = doc["reports"]
-        assert entry["schema"] == "repro-sweep-report/2"
+        assert entry["schema"] == "repro-sweep-report/3"
         assert entry["label"] == "probe"
         assert entry["points"][0]["status"] == "ok"

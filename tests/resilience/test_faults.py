@@ -179,8 +179,8 @@ class TestDrillParse:
     """``SweepFaultPlan.parse`` — the one reader of ``--drill`` strings."""
 
     @pytest.mark.parametrize("text, fields", [
-        ("crash@1", {"crash_point": 1}),
-        ("crash-always@0", {"crash_point": 0, "crash_attempts": None}),
+        ("die-after-claim", {"die_after_claims": 1}),
+        ("stale-heartbeat@3", {"stall_heartbeat_after": 3}),
         ("hang@2", {"hang_point": 2}),
         ("hang-always@0", {"hang_point": 0, "hang_attempts": None}),
         ("fail@0", {"fail_point": 0}),
@@ -202,7 +202,7 @@ class TestDrillParse:
         from repro.resilience.faults import SWEEP_DRILLS
 
         assert set(SWEEP_DRILLS) == {
-            "crash", "crash-always", "hang", "hang-always", "fail",
+            "hang", "hang-always", "fail",
             "die-after-claim", "stale-heartbeat", "duplicate-claim",
             "torn-segment",
         }

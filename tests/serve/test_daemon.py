@@ -245,6 +245,52 @@ class TestErrors:
 
         _drive(scenario)
 
+    @staticmethod
+    def _raw(daemon, request: bytes) -> bytes:
+        """Send raw bytes; return everything the daemon writes until it
+        closes (a daemon that waits for more body bytes times out)."""
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+            return reply
+
+    def test_conflicting_content_lengths_are_400(self):
+        """RFC 9112 §6.3: differing Content-Length values are a framing
+        error, not "the last one wins" (which waited for 40 bytes)."""
+        async def scenario(daemon, post, get):
+            loop = asyncio.get_running_loop()
+            reply = await loop.run_in_executor(None, self._raw, daemon, (
+                b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 2\r\nContent-Length: 40\r\n\r\n{}"
+            ))
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert b"Connection: close" in head
+            assert "Content-Length" in json.loads(body)["error"]
+
+        _drive(scenario)
+
+    def test_transfer_encoding_is_501(self):
+        """RFC 9112 §6.1: a chunked body is refused and the connection
+        closed, never read as an empty body followed by stray bytes."""
+        async def scenario(daemon, post, get):
+            loop = asyncio.get_running_loop()
+            reply = await loop.run_in_executor(None, self._raw, daemon, (
+                b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n"
+            ))
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 501 "), reply
+            assert b"Connection: close" in head
+            assert reply.count(b"HTTP/1.1 ") == 1
+            assert "Transfer-Encoding" in json.loads(body)["error"]
+
+        _drive(scenario)
+
     def test_removed_propagation_field_is_400(self):
         """Even a once-valid engine name is refused, never solved."""
         async def scenario(daemon, post, get):

@@ -98,7 +98,7 @@ class TestSweepWorker:
         assert len(segments) == 1
         doc = json.loads((tmp_path / "report.json").read_text())
         (report,) = doc["reports"]
-        assert report["schema"] == "repro-sweep-report/2"
+        assert report["schema"] == "repro-sweep-report/3"
         assert report["complete"] and report["exit_code"] == 0
         assert all(p["owner"] == "cli-w0" for p in report["points"])
         # /2: per-point wall seconds plus aggregate latency percentiles.
@@ -144,14 +144,21 @@ class TestExperimentReportJson:
 
 
 class TestSweepFlagValidation:
-    def test_timeout_with_shard_dir_is_a_parser_error(self, tmp_path, capsys):
+    def test_timeout_with_shard_dir_bounds_each_attempt(self, tmp_path,
+                                                         capsys):
+        rc = main(["sweep-worker", "fig12", "--shard-dir",
+                   str(tmp_path / "ns"), "--timeout", "1",
+                   "--drill", "hang@1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "retried=1" in err
+        assert "attempt 1: timeout" in err
+
+    def test_hang_drill_without_timeout_is_a_parser_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep-worker", "fig12", "--shard-dir",
-                  str(tmp_path / "ns"), "--timeout", "5"])
+            main(["experiment", "fig12", "--drill", "hang@1"])
         assert exc.value.code == 2
-        assert "--timeout has no effect with --shard-dir" in \
-            capsys.readouterr().err
-        assert not (tmp_path / "ns").exists()
+        assert "requires --timeout" in capsys.readouterr().err
 
     def test_claim_drill_without_shard_dir_is_a_parser_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -166,12 +173,13 @@ class TestSweepFlagValidation:
         assert "--drill" in capsys.readouterr().err
 
     def test_launcher_drills_its_first_child_only(self, tmp_path):
-        # The drilled child dies holding a lease; the launcher itself must
-        # survive, steal the orphaned point and finish the sweep.  Run in
-        # a subprocess: a drilled launcher would SIGKILL the test runner.
+        # The drilled helper dies holding a lease; the launching process
+        # must survive, steal the orphaned point and finish the sweep.
+        # Run in a subprocess: a drilled launcher would SIGKILL the test
+        # runner.
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "experiment", "fig12",
-             "--shard-dir", str(tmp_path / "ns"), "--workers", "2",
+             "--shard-dir", str(tmp_path / "ns"), "--jobs", "2",
              "--lease-ttl", "1", "--drill", "die-after-claim@1"],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
