@@ -15,6 +15,16 @@ departure epoch:
 Summing the epochs gives the exact mean makespan ``E(T)``; the epoch
 sequence itself exhibits the three regions (transient ramp, steady state,
 draining) of the paper's Figures 3–4 and 10–11.
+
+The refill recurrence is a power iteration, ``p (Y_K R_K)^i → p_ss``
+(§5), so the stepped engine stops at its converged tail.  After each
+step it takes the 1-norm step distance ``δ_j = ‖x_{j+1} − x_j‖₁`` and the
+observed rate ``ρ̂ = δ_j / δ_{j−1}``; once ``ρ̂ < 1`` and the geometric
+bound ``δ_j ρ̂ / (1 − ρ̂) · ‖τ'_K‖∞`` on the error of every remaining
+refill epoch time is ≤ :data:`TAIL_RTOL` ``· (x_{j+1} τ'_K)``, every
+later refill epoch is charged ``x_{j+1} τ'_K`` and the drain starts from
+``x_{j+1}``.  A walk on which the rule never fires steps all ``N − K``
+refill epochs.
 """
 
 from __future__ import annotations
@@ -31,7 +41,47 @@ from repro.obs import runtime as _rt
 from repro.obs.instrument import Instrumentation
 from repro.resilience.errors import SpectralFallbackError
 
-__all__ = ["TransientModel"]
+__all__ = ["TAIL_RTOL", "TransientModel"]
+
+#: Relative error allowed on each converged-tail epoch time (see the
+#: module docstring); well below the 10⁵-step recurrence's own drift.
+TAIL_RTOL = 1e-13
+
+
+class _TailRule:
+    """The converged-tail stopping rule of the stepped refill walk.
+
+    Fed every refill step ``x_j → x_{j+1}`` by :meth:`converged`; keeps
+    the last step distance and bound for the convergence gauge.
+    """
+
+    __slots__ = ("_ops", "_tau", "_tau_inf", "distance", "bound")
+
+    def __init__(self, ops):
+        # τ is read at the first rate estimate, after the walk's own
+        # first epoch times: a level wrapper may count or check reads.
+        self._ops = ops
+        self._tau = None
+        self._tau_inf = 0.0
+        self.distance = 0.0
+        self.bound = float("inf")
+
+    def converged(self, x: np.ndarray, x_next: np.ndarray) -> bool:
+        d = float(np.abs(x_next - x).sum())
+        prev, self.distance = self.distance, d
+        if d == 0.0:
+            self.bound = 0.0
+            return True
+        if not d < prev:  # first step, growing or non-finite distance
+            return False
+        if self._tau is None:
+            self._tau = np.asarray(self._ops.tau, dtype=float)
+            self._tau_inf = float(np.max(np.abs(self._tau)))
+        rho = d / prev
+        self.bound = d * rho / (1.0 - rho) * self._tau_inf
+        # x·τ ≤ ‖τ‖∞ for a distribution: skip the dot until it can matter.
+        return (self.bound <= TAIL_RTOL * self._tau_inf
+                and self.bound <= TAIL_RTOL * float(x_next @ self._tau))
 
 
 class TransientModel:
@@ -55,8 +105,11 @@ class TransientModel:
     propagation:
         Epoch engine: ``"propagator"`` (the default) caches the explicit
         ``Y_k R_k`` / ``Y_k`` matrices once per level below the dense cap
-        (blocked multi-column solve) so every epoch is one gemv, and
-        steps a level above the cap through its LU; ``"spectral"``
+        (blocked multi-column solve) so every epoch is one gemv, steps a
+        level above the cap through its LU, and stops the refill walk at
+        its converged tail (module docstring): each tail epoch time is
+        within :data:`TAIL_RTOL` relative of the fully stepped one, and a
+        walk whose rule never fires steps every epoch; ``"spectral"``
         eigendecomposes ``Y_K R_K`` once per model (paper §5: the refill
         recurrence is a power iteration) and evaluates any epoch — and
         the refill portion of the makespan, as a geometric series over
@@ -73,7 +126,9 @@ class TransientModel:
     -----
     Construction cost is dominated by assembling the ``K`` sparse operator
     levels; each is cached, and the per-epoch work afterwards is one gemv
-    against the cached propagator regardless of ``N``.  A model holds
+    against the cached propagator for at most the head of the refill
+    walk (tens of epochs on the paper's clusters) plus the ``K`` drain
+    epochs, regardless of ``N``.  A model holds
     only plain :class:`~repro.laqt.operators.LevelOperators`: health
     guards and resource budgets belong to the degradation ladder
     (:func:`~repro.resilience.fallback.solve_resilient`), and
@@ -242,12 +297,17 @@ class TransientModel:
         at full population with instant refill; the last ``min(K, N)``
         epochs drain the system.  If ``N < K`` the model runs with only
         ``N`` active tasks — the paper's "use a smaller cluster" case.
+        Refill epochs past the converged head all hold the tail time
+        ``x τ'_K`` (module docstring).
         """
         n = self._validate_N(N)
         times = np.empty(n)
 
         def visit(j: int, k: int, ops, x: np.ndarray) -> None:
             times[j] = ops.mean_epoch_time(x)
+
+        def fill(j0: int, j1: int, ops, x: np.ndarray) -> None:
+            times[j0:j1] = ops.mean_epoch_time(x)
 
         eng = self._bulk_engine(n)
         if eng is not None:
@@ -257,7 +317,7 @@ class TransientModel:
             self._drain_phase(m, k_active, x, visit, hook=None, ins=ins)
             return times
 
-        self._epoch_recurrence(n, visit, observe=True)
+        self._epoch_recurrence(n, visit, fill, observe=True)
         return times
 
     @staticmethod
@@ -289,20 +349,25 @@ class TransientModel:
         self,
         N: int,
         visit: Callable[[int, int, object, np.ndarray], None],
+        fill: Callable[[int, int, object, np.ndarray], None],
         *,
         observe: bool,
     ) -> None:
         """Single driver for the epoch recurrence of §4.1/§4.2.
 
-        Calls ``visit(j, k, ops, x)`` once per epoch, in departure order,
-        with the state vector the epoch *starts* from, then advances
-        ``x`` through the level's refill/drain operator.  Both
-        :meth:`interdeparture_times` (``observe=True``: hooks, spans,
-        metrics) and :meth:`epoch_vectors` (``observe=False``: silent)
-        run through here, so the propagator fast path cannot drift
-        between them.
+        Calls ``visit(j, k, ops, x)`` once per stepped epoch, in departure
+        order, with the state vector the epoch *starts* from, then
+        advances ``x`` through the level's refill/drain operator.  When
+        the stepped refill reaches its converged tail (module docstring)
+        after ``head`` epochs, ``fill(head, N − K, ops, x)`` answers the
+        remaining refill epochs at once from the converged ``x``, and the
+        drain starts from it.  Both :meth:`interdeparture_times`
+        (``observe=True``: hooks, spans, metrics) and
+        :meth:`epoch_vectors` (``observe=False``: silent) run through
+        here, so the propagator fast path cannot drift between them.
         """
         k_active = min(self._K, N)
+        m = N - k_active
         top = self.level(k_active)
         x = self.entrance_vector(k_active)
         ins = self._effective_instrument() if observe else None
@@ -311,34 +376,68 @@ class TransientModel:
             # Callback-only bundle: folded into the hook path above,
             # keeping the loop free of dead span/metric branches.
             ins = None
-        eng = self._spectral_engine(top) if N > k_active else None
+        eng = self._spectral_engine(top) if m else None
+        rule = _TailRule(top) if eng is None else None
         x0 = x
         step_refill = top.step_YR
-        for j in range(N - k_active):
+
+        def advance(j: int, x: np.ndarray) -> tuple[np.ndarray, bool]:
+            if eng is not None:
+                return eng.propagate(x0, j + 1), False
+            x_next = step_refill(x)
+            return x_next, rule.converged(x, x_next)
+
+        head = m
+        for j in range(m):
             if hook is not None:
                 hook(j, k_active, self._frozen_view(x))
             if ins is None:
                 visit(j, k_active, top, x)
-                x = eng.propagate(x0, j + 1) if eng is not None else step_refill(x)
+                x, done = advance(j, x)
             else:
                 with ins.span("epoch", epoch=j, level=k_active,
                               phase="refill") as sp:
                     visit(j, k_active, top, x)
-                    x_prev = x
-                    x = eng.propagate(x0, j + 1) if eng is not None else step_refill(x)
+                    x, done = advance(j, x)
                 self._epoch_metrics(ins, sp)
-                # The refill recurrence is the paper's power iteration
-                # p(Y_K R_K)^i → p_ss (§5).  Under the spectral engine
-                # the gauge is the *exact* geometric rate of that
-                # iteration (the spectral gap); otherwise it is the
-                # measured sup-norm step distance the SLO layer watched
-                # historically.
-                ins.gauge(
-                    "repro_epoch_convergence_distance",
-                    eng.gap if eng is not None
-                    else float(np.max(np.abs(x - x_prev))),
-                )
-        self._drain_phase(N - k_active, k_active, x, visit, hook=hook, ins=ins)
+            if done:
+                head = j + 1
+                break
+        if ins is not None and m:
+            # The refill recurrence is the paper's power iteration
+            # p(Y_K R_K)^i → p_ss (§5).  Under the spectral engine the
+            # gauge is the *exact* geometric rate of that iteration (the
+            # spectral gap); otherwise it is the last 1-norm step
+            # distance of the stepped walk, with the tail rule's bound.
+            if eng is not None:
+                ins.gauge("repro_epoch_convergence_distance", eng.gap)
+            else:
+                ins.gauge("repro_epoch_convergence_distance", rule.distance)
+                if np.isfinite(rule.bound):
+                    ins.gauge("repro_epoch_convergence_distance",
+                              rule.bound, quantity="bound")
+        if head < m:
+            self._refill_tail(head, m, top, x, fill, hook=hook, ins=ins)
+        self._drain_phase(m, k_active, x, visit, hook=hook, ins=ins)
+
+    def _refill_tail(self, head: int, m: int, top, x: np.ndarray, fill,
+                     *, hook, ins: Instrumentation | None) -> None:
+        """Refill epochs ``head … m − 1`` at the converged vector ``x``.
+
+        ``on_epoch`` still sees every epoch (the ladder's budget clock
+        counts on it); tracing sees one ``phase="tail"`` span.
+        """
+        if hook is not None:
+            view = self._frozen_view(x)
+            for j in range(head, m):
+                hook(j, top.k, view)
+        if ins is None:
+            fill(head, m, top, x)
+            return
+        with ins.span("epoch", level=top.k, phase="tail",
+                      epochs=m - head, head=head):
+            fill(head, m, top, x)
+        ins.count("repro_epochs_solved_total", m - head)
 
     def _drain_phase(
         self,
@@ -489,6 +588,7 @@ class TransientModel:
         self._epoch_recurrence(
             self._validate_N(N),
             lambda j, k, ops, x: out.append(x.copy()),
+            lambda j0, j1, ops, x: out.extend(x.copy() for _ in range(j0, j1)),
             observe=False,
         )
         return out
@@ -499,8 +599,10 @@ class TransientModel:
         Equal to ``epoch_vectors(N)[index]`` without materializing the
         other ``N − 1`` vectors: the spectral engine jumps straight to
         ``p (Y_K R_K)^index`` (O(1) in ``N``), the stepped path stops
-        the recurrence at the requested epoch (O(index)), and a drain
-        epoch only steps the partial ``Y_k`` cascade past the refill end.
+        the recurrence at the requested epoch or at the converged tail,
+        whichever comes first — any refill epoch past the head returns
+        the converged vector — and a drain epoch only steps the partial
+        ``Y_k`` cascade past the refill end.
         """
         n = self._validate_N(N)
         index = int(index)
@@ -516,8 +618,13 @@ class TransientModel:
             if eng is not None:
                 x = eng.propagate(x, steps)
             else:
+                rule = _TailRule(top)
                 for _ in range(steps):
-                    x = top.step_YR(x)
+                    x_next = top.step_YR(x)
+                    done = rule.converged(x, x_next)
+                    x = x_next
+                    if done:
+                        break
         # Partial drain cascade: epoch refill + d starts after Y_{K} … Y_{K−d+1}.
         for k in range(k_active, k_active - (index - steps), -1):
             x = self.level(k).step_Y(x)

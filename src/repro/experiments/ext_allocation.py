@@ -25,10 +25,27 @@ from repro.clusters.extensions import (
     load_balanced_weights,
 )
 from repro.core.transient import TransientModel
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.params import BASE_APP
 from repro.experiments.result import ExperimentResult
 
 __all__ = ["run"]
+
+
+def _point(K: int, N: int, skew: float, app) -> np.ndarray:
+    """Makespan of the (uniform, load-balanced, hot-spot) placements."""
+    speeds = np.ones(K)
+    speeds[0] = skew
+    w_hot = np.full(K, 0.1 / (K - 1)) if K > 1 else np.ones(1)
+    if K > 1:
+        w_hot[0] = 0.9
+    return np.array([
+        TransientModel(
+            heterogeneous_distributed_cluster(app, K, weights=w, speeds=speeds),
+            K,
+        ).makespan(N)
+        for w in (np.full(K, 1.0 / K), load_balanced_weights(speeds), w_hot)
+    ])
 
 
 def run(
@@ -37,27 +54,15 @@ def run(
     N: int = 30,
     skews=(1.0, 1.5, 2.0, 3.0, 4.0),
     app=BASE_APP,
+    executor=None,
 ) -> ExperimentResult:
     """Makespan of three placement policies vs the fast-disk skew factor."""
     skews = np.asarray(list(skews), dtype=float)
-    uniform = np.empty(skews.shape[0])
-    balanced = np.empty(skews.shape[0])
-    hotspot = np.empty(skews.shape[0])
-    for i, s in enumerate(skews):
-        speeds = np.ones(K)
-        speeds[0] = s
-        w_uniform = np.full(K, 1.0 / K)
-        w_balanced = load_balanced_weights(speeds)
-        w_hot = np.full(K, 0.1 / (K - 1)) if K > 1 else np.ones(1)
-        if K > 1:
-            w_hot[0] = 0.9
-        for w, out in (
-            (w_uniform, uniform),
-            (w_balanced, balanced),
-            (w_hot, hotspot),
-        ):
-            spec = heterogeneous_distributed_cluster(app, K, weights=w, speeds=speeds)
-            out[i] = TransientModel(spec, K).makespan(N)
+    rows = (executor or SweepExecutor()).map(
+        _point, [(K, N, float(s), app) for s in skews],
+        label="ext_allocation",
+    )
+    uniform, balanced, hotspot = np.reshape(rows, (len(skews), 3)).T.copy()
     return ExperimentResult(
         experiment="ext_allocation",
         description=(

@@ -15,10 +15,23 @@ from repro.clusters.grid import grid_cluster
 from repro.core.metrics import speedup
 from repro.core.sojourn import analyze_sojourn
 from repro.core.transient import TransientModel
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.params import BASE_APP
 from repro.experiments.result import ExperimentResult
 
 __all__ = ["run"]
+
+
+def _point(sites: int, K: int, N: int, wan_factor: float, loc: float,
+           app) -> np.ndarray:
+    """(makespan, speedup, WAN utilization) at one locality."""
+    spec = grid_cluster(app, sites, locality=loc, wan_factor=wan_factor)
+    model = TransientModel(spec, K)
+    return np.array([
+        model.makespan(N),
+        speedup(model, N),
+        analyze_sojourn(model).station("wan_up").mean_busy,
+    ])
 
 
 def run(
@@ -29,18 +42,16 @@ def run(
     wan_factor: float = 3.0,
     localities=(1.0, 0.9, 0.8, 0.6, 0.4, 0.2),
     app=BASE_APP,
+    executor=None,
 ) -> ExperimentResult:
     """Makespan / speedup / WAN utilization vs data locality."""
     localities = np.asarray(list(localities), dtype=float)
-    spans = np.empty(localities.shape[0])
-    sp = np.empty(localities.shape[0])
-    wan_util = np.empty(localities.shape[0])
-    for i, loc in enumerate(localities):
-        spec = grid_cluster(app, sites, locality=float(loc), wan_factor=wan_factor)
-        model = TransientModel(spec, K)
-        spans[i] = model.makespan(N)
-        sp[i] = speedup(model, N)
-        wan_util[i] = analyze_sojourn(model).station("wan_up").mean_busy
+    rows = (executor or SweepExecutor()).map(
+        _point,
+        [(sites, K, N, wan_factor, float(loc), app) for loc in localities],
+        label="ext_grid",
+    )
+    spans, sp, wan_util = np.reshape(rows, (len(localities), 3)).T.copy()
     return ExperimentResult(
         experiment="ext_grid",
         description=(

@@ -19,10 +19,23 @@ from repro.core.metrics import exponential_twin, prediction_error
 from repro.core.steady_state import solve_steady_state
 from repro.core.transient import TransientModel
 from repro.distributions.shapes import Shape
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.params import BASE_APP
 from repro.experiments.result import ExperimentResult
 
 __all__ = ["run"]
+
+
+def _point(K: int, N: int, alpha: float, m: int, app) -> np.ndarray:
+    """(effective C², exponential-model error, t_ss) at one depth ``m``."""
+    spec = central_cluster(app, {"rdisk": Shape.power_tail(alpha, m=m)})
+    actual = TransientModel(spec, K)
+    expo = TransientModel(exponential_twin(spec), K)
+    return np.array([
+        spec.station("rdisk").dist.scv,
+        prediction_error(actual.makespan(N), expo.makespan(N)),
+        solve_steady_state(actual).interdeparture_time,
+    ])
 
 
 def run(
@@ -32,23 +45,18 @@ def run(
     alpha: float = 1.4,
     ms=(1, 2, 4, 8, 12, 16),
     app=BASE_APP,
+    executor=None,
 ) -> ExperimentResult:
     """Sweep the TPT truncation depth on the shared remote disk.
 
     ``m = 1`` is the exponential baseline (zero error by construction).
     """
     ms = np.asarray(list(ms), dtype=int)
-    scv = np.empty(ms.shape[0])
-    err = np.empty(ms.shape[0])
-    t_ss = np.empty(ms.shape[0])
-    for i, m in enumerate(ms):
-        shape = Shape.power_tail(alpha, m=int(m))
-        spec = central_cluster(app, {"rdisk": shape})
-        scv[i] = spec.station("rdisk").dist.scv
-        actual = TransientModel(spec, K)
-        expo = TransientModel(exponential_twin(spec), K)
-        err[i] = prediction_error(actual.makespan(N), expo.makespan(N))
-        t_ss[i] = solve_steady_state(actual).interdeparture_time
+    rows = (executor or SweepExecutor()).map(
+        _point, [(K, N, alpha, int(m), app) for m in ms],
+        label="ext_powertail",
+    )
+    scv, err, t_ss = np.reshape(rows, (len(ms), 3)).T.copy()
     return ExperimentResult(
         experiment="ext_powertail",
         description=(

@@ -14,10 +14,17 @@ import numpy as np
 from repro.clusters.extensions import central_cluster_with_scheduler
 from repro.core.metrics import speedup
 from repro.core.transient import TransientModel
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.params import DEDICATED_APP
 from repro.experiments.result import ExperimentResult
 
 __all__ = ["run"]
+
+
+def _point(K: int, N: int, overhead: float, app) -> np.ndarray:
+    """(makespan, speedup) at one per-dispatch overhead."""
+    model = TransientModel(central_cluster_with_scheduler(app, overhead), K)
+    return np.array([model.makespan(N), speedup(model, N)])
 
 
 def run(
@@ -26,16 +33,15 @@ def run(
     N: int = 40,
     overheads=(0.01, 0.05, 0.1, 0.2, 0.4, 0.8),
     app=DEDICATED_APP,
+    executor=None,
 ) -> ExperimentResult:
     """Makespan and speedup vs per-dispatch scheduler overhead."""
     overheads = np.asarray(list(overheads), dtype=float)
-    spans = np.empty(overheads.shape[0])
-    sp = np.empty(overheads.shape[0])
-    for i, ov in enumerate(overheads):
-        spec = central_cluster_with_scheduler(app, float(ov))
-        model = TransientModel(spec, K)
-        spans[i] = model.makespan(N)
-        sp[i] = speedup(model, N)
+    rows = (executor or SweepExecutor()).map(
+        _point, [(K, N, float(ov), app) for ov in overheads],
+        label="ext_scheduler",
+    )
+    spans, sp = np.reshape(rows, (len(overheads), 2)).T.copy()
     return ExperimentResult(
         experiment="ext_scheduler",
         description=(

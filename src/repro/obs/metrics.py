@@ -465,9 +465,11 @@ CATALOG: tuple[tuple[str, str, str], ...] = (
     ("counter", "repro_client_retries_total",
      "Retries issued by repro serve clients, by trigger"),
     ("gauge", "repro_epoch_convergence_distance",
-     "Convergence rate of the refill power iteration: the exact spectral "
-     "gap of Y_K R_K under propagation=spectral, else the measured "
-     "sup-norm distance between successive epoch entrance vectors"),
+     "Convergence of the refill power iteration: the exact spectral gap "
+     "of Y_K R_K under propagation=spectral, else the 1-norm step "
+     "distance at which the stepped walk stopped (its converged tail or "
+     "its last refill epoch); quantity=bound is the tail rule's error "
+     "bound on each remaining epoch time at that step"),
     ("gauge", "repro_level_dim",
      "State-space dimension D(k) of each assembled level"),
     ("gauge", "repro_level_nnz",

@@ -21,7 +21,10 @@ the one above, recording every attempt with a structured reason code:
 The ladder is **off by default** in the core API: plain
 :class:`~repro.core.transient.TransientModel` never imports this module,
 and ``solve_resilient`` with an all-default config reproduces its results
-bit for bit (rung 1 with no faults applies no correction).
+bit for bit (rung 1 with no faults applies no correction).  A
+:class:`~repro.resilience.errors.PointTimeoutError` (a sweep point's
+``RetryPolicy.timeout`` deadline) is never a rung failure: it leaves the
+ladder at once, so the point times out and is retried.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.obs.instrument import Instrumentation
 from repro.resilience.budget import Budget, BudgetClock, enforce_budget
 from repro.resilience.errors import (
     BudgetExceededError,
+    PointTimeoutError,
     SolverError,
 )
 from repro.resilience.faults import FaultPlan, apply_faults
@@ -361,6 +365,10 @@ class ResilientSolver:
                         times = self._run_approximation(N, budget, clock)
                     else:
                         times = self._run_amva(N, clock)
+            except PointTimeoutError:
+                # The caller's point deadline, not this rung's failure:
+                # a cheaper rung must not run on the caller's lapsed time.
+                raise
             except SolverError as exc:
                 attempt = RungAttempt(rung, False, exc.reason, str(exc))
                 attempts.append(attempt)

@@ -112,6 +112,19 @@ class TestFigureDeterminism:
         for name in serial.series:
             assert np.array_equal(serial.series[name], local.series[name])
 
+    def test_ext_grid_identical_at_jobs_2(self):
+        from repro.experiments import ext_grid
+
+        kw = dict(K=3, N=12, localities=(1.0, 0.6, 0.2))
+        serial = ext_grid.run(**kw, executor=SweepExecutor(jobs=1))
+        ex = SweepExecutor(jobs=2)
+        local = ext_grid.run(**kw, executor=ex)
+        assert ex.report.label == "ext_grid"
+        assert ex.report.total == 3
+        assert sorted(serial.series) == sorted(local.series)
+        for name in serial.series:
+            assert np.array_equal(serial.series[name], local.series[name])
+
 
 class TestTelemetryRoundTrip:
     def test_inline_sweep_spans_and_counter(self):

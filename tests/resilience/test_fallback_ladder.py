@@ -187,3 +187,49 @@ class TestLadderMechanics:
         assert rung.cached_bytes() == base.cached_bytes() + entrance > entrance
         for k in range(1, K + 1):
             assert np.array_equal(rung.level_B(k), base.level_B(k))
+
+
+class TestPointDeadline:
+    """A sweep point's deadline leaves the ladder instead of failing a rung."""
+
+    def test_deadline_in_a_rung_times_the_point_out(
+        self, central_h2_spec, plain_times, monkeypatch
+    ):
+        import time
+
+        from repro.experiments.executor import PointOutcome, run_attempts
+        from repro.resilience.retry import RetryPolicy
+
+        calls = []
+        real = ResilientSolver._run_exactish
+
+        def first_call_hangs(self, *args):
+            calls.append(args[1])
+            if len(calls) == 1:
+                time.sleep(30.0)
+            return real(self, *args)
+
+        monkeypatch.setattr(ResilientSolver, "_run_exactish", first_call_hangs)
+        out = PointOutcome(index=0)
+        ok, res = run_attempts(
+            solve_resilient, (central_h2_spec, K, N), out,
+            RetryPolicy(max_attempts=2, base_delay=0.0, timeout=0.2),
+            None, mode="inline",
+        )
+        assert ok
+        # Attempt 1 timed out in the exact rung; no cheaper rung ran on
+        # its lapsed time.  The fallback attempt solved exactly.
+        assert out.failures == ["attempt 1: timeout"]
+        assert calls == ["exact", "exact"]
+        assert res.report.method == "exact"
+        assert np.array_equal(res.interdeparture_times, plain_times)
+
+    def test_ladder_reraises_point_timeout(self, central_h2_spec, monkeypatch):
+        from repro.resilience.errors import PointTimeoutError
+
+        def deadline(self, *args):
+            raise PointTimeoutError("point deadline")
+
+        monkeypatch.setattr(ResilientSolver, "_run_exactish", deadline)
+        with pytest.raises(PointTimeoutError):
+            solve_resilient(central_h2_spec, K, N)
