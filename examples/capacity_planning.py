@@ -42,7 +42,8 @@ def main() -> None:
         p95 = mk.quantile(CONFIDENCE)
         ok = p95 <= DEADLINE
         print(f"{K:>3} {mk.mean():>12.2f} {mk.std():>8.2f} {p95:>10.2f} "
-              f"{speedup(model, N):>8.3f}  {'yes' if ok else 'no'}")
+              f"{speedup(spec, N, model.makespan(N)):>8.3f}  "
+              f"{'yes' if ok else 'no'}")
         if ok and chosen is None:
             chosen = K
 

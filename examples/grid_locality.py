@@ -25,8 +25,9 @@ def main() -> None:
         model = TransientModel(spec, K)
         soj = analyze_sojourn(model)
         wan_util = soj.station("wan_up").mean_busy
-        print(f"{loc:>9.0%} {model.makespan(N):>12.2f} "
-              f"{speedup(model, N):>8.3f} {wan_util:>9.3f}  "
+        span = model.makespan(N)
+        print(f"{loc:>9.0%} {span:>12.2f} "
+              f"{speedup(spec, N, span):>8.3f} {wan_util:>9.3f}  "
               f"{soj.bottleneck().name}")
 
     print("""

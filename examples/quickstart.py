@@ -53,7 +53,7 @@ def main() -> None:
     # 5. Headline numbers.
     span = model.makespan(N)
     print(f"\nmean makespan E(T_total) = {span:.3f}")
-    print(f"speedup over one workstation: {speedup(model, N):.3f} (ideal {K})")
+    print(f"speedup over one workstation: {speedup(spec, N, span):.3f} (ideal {K})")
     ss = solve_steady_state(model)
     print(f"steady-state throughput: {ss.throughput:.4f} tasks/unit time")
 

@@ -37,7 +37,6 @@ from repro.core import (
     prediction_error,
     exponential_twin,
     utilizations,
-    approximate_makespan,
     analyze_sojourn,
     time_stationary_distribution,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "prediction_error",
     "exponential_twin",
     "utilizations",
-    "approximate_makespan",
     "MatrixExponential",
     "PHDistribution",
     "Shape",

@@ -144,8 +144,8 @@ def _add_robust_args(sub) -> None:
     sub.add_argument("--max-seconds", type=float, default=None,
                      help="wall-clock budget for the solve (robust mode)")
     sub.add_argument("--max-epochs", type=int, default=None,
-                     help="exactly-iterated epoch cap; larger workloads "
-                          "degrade to the O(K) approximation (robust mode)")
+                     help="epoch cap; larger workloads degrade to the "
+                          "amva estimate (robust mode)")
 
 
 def _cmd_report(args) -> int:

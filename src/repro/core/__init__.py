@@ -14,7 +14,6 @@ from repro.core.metrics import (
     utilizations,
     transient_utilizations,
 )
-from repro.core.approximation import ApproximateMakespan, approximate_makespan
 from repro.core.sojourn import SojournAnalysis, StationMetrics, analyze_sojourn
 from repro.core.epochs import epoch_distribution, epoch_distributions, epoch_scvs
 from repro.core.correlations import (
@@ -37,8 +36,6 @@ __all__ = [
     "utilizations",
     "transient_utilizations",
     "index_of_dispersion",
-    "ApproximateMakespan",
-    "approximate_makespan",
     "SojournAnalysis",
     "StationMetrics",
     "analyze_sojourn",

@@ -30,15 +30,17 @@ __all__ = [
 ]
 
 
-def speedup(model: TransientModel, N: int) -> float:
+def speedup(spec: NetworkSpec, N: int, makespan: float) -> float:
     """Speedup over a single contention-free workstation.
 
     ``SP = N · E(T_task) / E(T_cluster)`` where ``E(T_task)`` is the mean
     contention-free task time (``Ψ[V]``, the sum of the paper's time
-    components) — the makespan a one-workstation system would need.
+    components) — the makespan a one-workstation system would need — and
+    ``makespan`` is the cluster's ``E(T)`` for the same ``N``, as the
+    caller already solved it (``model.makespan(N)``).
     """
-    baseline = N * model.spec.task_time()
-    return baseline / model.makespan(N)
+    baseline = N * spec.task_time()
+    return baseline / makespan
 
 
 def prediction_error(actual_makespan: float, exponential_makespan: float) -> float:

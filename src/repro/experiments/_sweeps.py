@@ -133,7 +133,7 @@ def _point_speedup_scv(
     kind: str, role: str, K: int, Ns: tuple, scv: float, app: ApplicationModel,
 ) -> np.ndarray:
     model = _swept_model(kind, role, K, scv, app)
-    return np.array([speedup(model, N) for N in Ns])
+    return np.array([speedup(model.spec, N, model.makespan(N)) for N in Ns])
 
 
 def _point_speedup_k(
@@ -148,7 +148,8 @@ def _point_speedup_k(
         if key not in models:
             spec = central_cluster(app, {"cpu": shape})
             models[key] = TransientModel(spec, int(K))
-        vals[i] = speedup(models[key], N)
+        model = models[key]
+        vals[i] = speedup(model.spec, N, model.makespan(N))
     return vals
 
 

@@ -27,9 +27,10 @@ def _point(sites: int, K: int, N: int, wan_factor: float, loc: float,
     """(makespan, speedup, WAN utilization) at one locality."""
     spec = grid_cluster(app, sites, locality=loc, wan_factor=wan_factor)
     model = TransientModel(spec, K)
+    span = model.makespan(N)
     return np.array([
-        model.makespan(N),
-        speedup(model, N),
+        span,
+        speedup(spec, N, span),
         analyze_sojourn(model).station("wan_up").mean_busy,
     ])
 

@@ -23,8 +23,9 @@ __all__ = ["run"]
 
 def _point(K: int, N: int, overhead: float, app) -> np.ndarray:
     """(makespan, speedup) at one per-dispatch overhead."""
-    model = TransientModel(central_cluster_with_scheduler(app, overhead), K)
-    return np.array([model.makespan(N), speedup(model, N)])
+    spec = central_cluster_with_scheduler(app, overhead)
+    span = TransientModel(spec, K).makespan(N)
+    return np.array([span, speedup(spec, N, span)])
 
 
 def run(

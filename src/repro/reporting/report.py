@@ -53,7 +53,7 @@ def performance_report(
         spec.describe(),
         "",
         f"mean makespan E(T):        {span:.4f}",
-        f"speedup vs 1 workstation:  {_speedup(model, N):.4f} (ideal {K})",
+        f"speedup vs 1 workstation:  {_speedup(spec, N, span):.4f} (ideal {K})",
         f"steady-state t_ss:         {regions.t_ss:.4f} "
         f"(throughput {1.0 / regions.t_ss:.4f})",
         f"regions (epochs):          transient {regions.transient}, "

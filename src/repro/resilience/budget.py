@@ -62,9 +62,9 @@ class Budget:
         Wall-clock cap for a solve (checked cooperatively via
         :class:`BudgetClock`).
     max_epochs:
-        Cap on the number of exactly-iterated epochs; an ``N`` beyond this
-        pushes the degradation ladder to the O(K) three-region
-        approximation instead of the exact per-epoch iteration.
+        Cap on the workload size ``N`` the level-building rungs accept;
+        an ``N`` beyond this pushes the degradation ladder to the
+        operator-free ``amva`` estimate.
     """
 
     max_states: int | None = None

@@ -11,12 +11,13 @@ the one above, recording every attempt with a structured reason code:
    and mild ill-conditioning);
 3. ``dense`` — dense partial-pivoted LU per level (small state spaces
    only), which survives near-singular matrices that break sparse LU;
-4. ``approximation`` — the paper's O(K) three-region decomposition
-   (exact head + steady-state middle + exact drain from ``p_ss``),
-   for workloads whose exact per-epoch iteration busts the work budget;
-5. ``amva`` — the Reiser-style approximate-MVA bound, which needs no
+4. ``amva`` — the Reiser-style approximate-MVA estimate, which needs no
    level operators at all and therefore survives even state-space
-   budget rejections.
+   budget rejections and epoch caps below ``N``.
+
+There is no cheaper exact rung to add: the stepped refill already stops
+at its converged tail (``p(Y_K R_K)^i → p_ss``, PAPER.md §5), so the
+``exact`` rung costs O(head + K) solves for any ``N``.
 
 The ladder is **off by default** in the core API: plain
 :class:`~repro.core.transient.TransientModel` never imports this module,
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.steady_state import solve_steady_state
 from repro.core.transient import TransientModel
 from repro.jackson.amva import amva_analysis
 from repro.network.spec import NetworkSpec
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Canonical rung order, most exact first.
-LADDER: tuple[str, ...] = ("exact", "refine", "dense", "approximation", "amva")
+LADDER: tuple[str, ...] = ("exact", "refine", "dense", "amva")
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ class ResilienceConfig:
     dense_dim_cap:
         Largest level dimension the dense rung will densify (quadratic
         memory beyond this is worse than the disease).
-    head_epochs:
-        Exact warm-up epochs used by the approximation rung.
     """
 
     guards: GuardConfig = field(default_factory=GuardConfig)
@@ -89,7 +87,6 @@ class ResilienceConfig:
     faults: FaultPlan | None = None
     ladder: tuple[str, ...] = LADDER
     dense_dim_cap: int = 2048
-    head_epochs: int = 8
 
     def __post_init__(self):
         bad = [r for r in self.ladder if r not in LADDER]
@@ -118,7 +115,7 @@ class RungAttempt:
 class SolverReport:
     """Structured account of how (and how honestly) the answer was produced."""
 
-    #: winning rung name ("exact", "refine", "dense", "approximation", "amva")
+    #: winning rung name ("exact", "refine", "dense", "amva")
     method: str
     #: True whenever the winning rung is not "exact"
     degraded: bool
@@ -149,7 +146,7 @@ class ResilientResult:
     """The answer plus its provenance."""
 
     #: per-epoch mean inter-departure times (synthesized, not exact, for
-    #: the approximation/amva rungs)
+    #: the amva rung)
     interdeparture_times: np.ndarray
     #: mean makespan under the winning method
     makespan: float
@@ -242,20 +239,17 @@ class ResilientSolver:
         )
 
     # -- individual rungs ----------------------------------------------
-    def _require_epoch_budget(self, needed: int, budget: Budget, rung: str) -> None:
-        if budget.max_epochs is not None and needed > budget.max_epochs:
-            raise BudgetExceededError(
-                f"{rung}: needs {needed} exactly-iterated epochs, over the "
-                f"work cap {budget.max_epochs}",
-                budget_kind="epochs",
-                needed=needed,
-                limit=budget.max_epochs,
-            )
-
     def _run_exactish(
         self, N: int, mode: str, budget: Budget, clock: BudgetClock
     ) -> np.ndarray:
-        self._require_epoch_budget(N, budget, mode)
+        if budget.max_epochs is not None and N > budget.max_epochs:
+            raise BudgetExceededError(
+                f"{mode}: needs {N} epochs, over the work cap "
+                f"{budget.max_epochs}",
+                budget_kind="epochs",
+                needed=N,
+                limit=budget.max_epochs,
+            )
         model = self._rung_model(mode)
         if mode == "dense":
             peak = max(model.level_dim(k) for k in range(1, min(self._K, N) + 1))
@@ -267,61 +261,19 @@ class ResilientSolver:
                     needed=peak,
                     limit=self._cfg.dense_dim_cap,
                 )
-        model.instrument = Instrumentation(
-            on_epoch=lambda j, k, x: clock.check(f"{mode} epoch {j}")
-        )
-        return model.interdeparture_times(N)
-
-    def _run_approximation(
-        self, N: int, budget: Budget, clock: BudgetClock
-    ) -> np.ndarray:
-        K = self._K
-        k_active = min(K, N)
-        model = self._rung_model("refine")
-        if N <= K:
-            # The exact drain is already O(N); nothing cheaper to swap in.
-            self._require_epoch_budget(N, budget, "approximation")
+        if budget.max_seconds is not None:
+            # Without a time cap every check is a no-op; an unarmed hook
+            # keeps the per-epoch call off the walk (and its O(N) tail).
             model.instrument = Instrumentation(
-                on_epoch=lambda j, k, x: clock.check(f"approx epoch {j}")
+                on_epoch=lambda j, k, x: clock.check(f"{mode} epoch {j}")
             )
-            return model.interdeparture_times(N)
-
-        head = int(min(self._cfg.head_epochs, N - K))
-        self._require_epoch_budget(head + K, budget, "approximation")
-
-        faults = self._cfg.faults
-        ss_kwargs = {}
-        if faults is not None and faults.stall_power_iteration:
-            ss_kwargs["max_iter"] = faults.stall_max_iter
-        steady = solve_steady_state(model, **ss_kwargs)
-        clock.check("approximation steady state")
-
-        top = model.level(K)
-        x = model.entrance_vector(K)
-        times = np.empty(N)
-        for j in range(head):
-            times[j] = top.mean_epoch_time(x)
-            x = top.apply_YR(x)
-            clock.check(f"approximation head epoch {j}")
-        times[head : N - K] = steady.interdeparture_time
-
-        # Draining cascade started from the stationary mix (paper ref [17]).
-        x = np.asarray(steady.p_ss, dtype=float)
-        at = N - K
-        for k in range(K, 0, -1):
-            ops = model.level(k)
-            times[at] = ops.mean_epoch_time(x)
-            at += 1
-            if k > 1:
-                x = ops.apply_Y(x)
-        clock.check("approximation drain")
-        return times
+        return model.interdeparture_times(N)
 
     def _run_amva(self, N: int, clock: BudgetClock) -> np.ndarray:
         try:
             sol = amva_analysis(self._spec, min(self._K, N))
         except ValueError as exc:
-            raise SolverError(f"amva bound unavailable: {exc}") from exc
+            raise SolverError(f"amva estimate unavailable: {exc}") from exc
         clock.check("amva")
         return np.full(N, sol.interdeparture_time)
 
@@ -361,8 +313,6 @@ class ResilientSolver:
                 with ctx:
                     if rung in ("exact", "refine", "dense"):
                         times = self._run_exactish(N, rung, budget, clock)
-                    elif rung == "approximation":
-                        times = self._run_approximation(N, budget, clock)
                     else:
                         times = self._run_amva(N, clock)
             except PointTimeoutError:

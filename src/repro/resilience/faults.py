@@ -13,9 +13,7 @@ ladder in :mod:`repro.resilience.fallback` has a reproducible trigger:
   still works) or by actually zeroing a row (``"exact"`` — no direct
   solve can work);
 * ``starve_budget`` — collapse the memory budget to one byte, so even
-  level prediction refuses to build (forces the AMVA rung);
-* ``stall_power_iteration`` — cap the steady-state power iteration at a
-  handful of steps so it cannot converge.
+  level prediction refuses to build (forces the AMVA rung).
 
 Faults wrap :class:`~repro.laqt.operators.LevelOperators` behind the same
 surface (:class:`~repro.resilience.guards.LevelView`), so the solver code
@@ -95,8 +93,6 @@ class FaultPlan:
         direct solve fails.
     starve_budget:
         Replace the configured memory budget with a 1-byte cap.
-    stall_power_iteration:
-        Cap steady-state power iteration at ``stall_max_iter`` steps.
     """
 
     nan_level: int | None = None
@@ -104,8 +100,6 @@ class FaultPlan:
     singular_level: int | None = None
     singular_mode: str = "near"
     starve_budget: bool = False
-    stall_power_iteration: bool = False
-    stall_max_iter: int = 3
 
     def __post_init__(self):
         if self.nan_mode not in ("once", "always"):
@@ -122,7 +116,6 @@ class FaultPlan:
             self.nan_level is not None
             or self.singular_level is not None
             or self.starve_budget
-            or self.stall_power_iteration
         )
 
 

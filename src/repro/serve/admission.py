@@ -31,8 +31,8 @@ asyncio primitives):
   down-tiered onto the ladder's operator-free ``amva`` rung (``203``)
   when the metric allows it.
 * **Brownout** — when the queue length crosses ``brownout_watermark``
-  the controller enters brownout and the daemon forces cheap ladder
-  rungs (``approximation``/``amva`` → ``203`` responses) until the queue
+  the controller enters brownout and the daemon answers makespans on
+  the ladder ``exact`` → ``amva`` (``203`` responses) until the queue
   drains below the hysteresis clear mark; total brownout time is
   exported as ``repro_brownout_seconds``.
 * **Drain** — :meth:`begin_drain` flips the controller into a terminal

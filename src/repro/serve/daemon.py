@@ -35,8 +35,8 @@ Endpoints:
 control"): every solve passes an :class:`~repro.serve.admission.
 AdmissionController` — bounded in-flight, bounded wait queue with
 deadline eviction, cost-aware admission via the exact ``D_RP(k)``
-prediction, and a brownout mode that forces cheap ladder rungs while the
-queue is past its watermark.  Shed responses are ``429``/``503`` with a
+prediction, and a brownout mode that answers makespans on the ladder
+``exact`` → ``amva`` while the queue is past its watermark.  Shed responses are ``429``/``503`` with a
 ``Retry-After`` header; brownout/down-tier answers are ``203`` with the
 honest ladder report attached.
 
@@ -591,7 +591,7 @@ class ServeDaemon:
                                             cause="downtier")
         if self.admission.brownout and query.metric == "makespan":
             return await self._solve_ladder(
-                query, deadline, ladder=("approximation", "amva"),
+                query, deadline, ladder=("exact", "amva"),
                 cause="brownout",
             )
         if robust:
@@ -642,9 +642,10 @@ class ServeDaemon:
         """Policy-degraded solve (brownout / cost down-tier): always 203.
 
         The answer is honest — it carries the ladder report and the
-        ``cause`` flag — but deliberately cheap, so overload pressure
-        buys throughput instead of queue depth (Thomasian's UJA tiers as
-        a brownout rung)."""
+        ``cause`` flag.  Down-tiering runs only the operator-free
+        ``amva`` estimate.  Brownout tries ``exact`` first: the converged
+        tail makes it as cheap as any approximation of the same limit,
+        and ``amva`` answers if it fails."""
         from repro.resilience.errors import SolverError
         from repro.resilience.fallback import ResilienceConfig, solve_resilient
 

@@ -15,25 +15,29 @@ from repro.core import (
 from repro.distributions import Shape
 
 
+def _speedup(model, N):
+    return speedup(model.spec, N, model.makespan(N))
+
+
 class TestSpeedup:
     def test_single_workstation_is_one(self, central_spec):
-        assert speedup(TransientModel(central_spec, 1), 20) == pytest.approx(1.0)
+        assert _speedup(TransientModel(central_spec, 1), 20) == pytest.approx(1.0)
 
     def test_bounded_by_K(self, central_spec):
         for K in (2, 4, 8):
-            assert speedup(TransientModel(central_spec, K), 50) <= K
+            assert _speedup(TransientModel(central_spec, K), 50) <= K
 
     def test_increases_with_N(self, central_model):
         """More backlog → more steady-state time → better speedup."""
-        sp = [speedup(central_model, N) for N in (5, 20, 80)]
+        sp = [_speedup(central_model, N) for N in (5, 20, 80)]
         assert sp[0] < sp[1] < sp[2]
 
     def test_contention_reduces_speedup(self):
         heavy = ApplicationModel(remote_time=3.0)
         light = ApplicationModel(local_time=11.0, remote_time=0.75)
         K, N = 6, 60
-        sp_heavy = speedup(TransientModel(central_cluster(heavy), K), N)
-        sp_light = speedup(TransientModel(central_cluster(light), K), N)
+        sp_heavy = _speedup(TransientModel(central_cluster(heavy), K), N)
+        sp_light = _speedup(TransientModel(central_cluster(light), K), N)
         assert sp_heavy < sp_light
 
 

@@ -50,8 +50,8 @@ class TestGoldenValues:
     def test_fig14_speedups_at_k10(self):
         spec = central_cluster(DEDICATED_APP)
         model = TransientModel(spec, 10)
-        assert speedup(model, 20) == pytest.approx(4.876, rel=2e-3)
-        assert speedup(model, 200) == pytest.approx(8.600, rel=2e-3)
+        assert speedup(spec, 20, model.makespan(20)) == pytest.approx(4.876, rel=2e-3)
+        assert speedup(spec, 200, model.makespan(200)) == pytest.approx(8.600, rel=2e-3)
 
     def test_fig05_no_contention_level(self):
         model = TransientModel(

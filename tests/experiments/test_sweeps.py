@@ -75,3 +75,24 @@ class TestExtensionExperiments:
         r = ext_grid.run(sites=2, K=3, N=9, localities=(1.0, 0.5))
         assert r.series["wan_util"][0] == 0.0
         assert r.series["makespan"][1] > r.series["makespan"][0]
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("ext_grid", dict(sites=2, K=3, N=9, localities=(1.0, 0.5))),
+        ("ext_scheduler", dict(K=3, N=10, overheads=(0.05, 0.5))),
+    ])
+    def test_one_epoch_walk_per_point(self, monkeypatch, name, kwargs):
+        """Speedup reuses the point's makespan instead of solving again."""
+        import importlib
+
+        from repro.core.transient import TransientModel
+
+        walks = []
+        real = TransientModel._epoch_recurrence
+
+        def counted(self, *args, **kw):
+            walks.append(self.K)
+            return real(self, *args, **kw)
+
+        monkeypatch.setattr(TransientModel, "_epoch_recurrence", counted)
+        r = importlib.import_module(f"repro.experiments.{name}").run(**kwargs)
+        assert len(walks) == len(r.x)

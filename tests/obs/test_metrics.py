@@ -256,7 +256,7 @@ class TestLabelVocabularyStability:
     def test_rung_names_match_ladder(self):
         from repro.resilience.fallback import LADDER
 
-        assert LADDER == ("exact", "refine", "dense", "approximation", "amva")
+        assert LADDER == ("exact", "refine", "dense", "amva")
 
     def test_catalog_names_are_prometheus_safe(self):
         for kind, name, help_text in CATALOG:
