@@ -1,13 +1,12 @@
 """Ablation: LU column ordering of ``(I − P_k)``, COLAMD against NATURAL.
 
-Levels above the dense propagator cap step every epoch through a sparse
-LU, factored in the level's natural state order.  Levels at or below the
-cap keep SuperLU's fill-reducing COLAMD default.  This ablation measures
-both orderings on the top two levels of every figure class: factor time,
-LU fill (``L.nnz + U.nnz``) and the transposed solve ``x ↦ x (I − P)⁻¹``
-an epoch step runs.  It records the table and does not change the
-solver; moving the small levels to natural order would move the fig03
-hash pin, which lives on their COLAMD bits.
+Every level steps every epoch through a sparse LU, factored in the
+level's natural state order.  This ablation measures both orderings on
+the top two levels of every figure class: factor time, LU fill
+(``L.nnz + U.nnz``) and the transposed solve ``x ↦ x (I − P)⁻¹`` an
+epoch step runs.  It records the table; the solver's choice of natural
+order rests on it.  COLAMD survives only in the solve oracle of
+``tests/oracle.py``, which the fig03 hash pin was recorded on.
 
 Timings are medians of repeated runs on whatever machine runs the suite;
 only the fill counts are deterministic, and the fig06 top level's fill is
@@ -61,7 +60,7 @@ def _measure(A: sp.csc_matrix, permc_spec: str) -> tuple[float, int, float, np.n
 
 
 def test_ordering_ablation(record_text):
-    header = (f"{'class':<6} {'k':>3} {'dim':>5} {'cap':>5} "
+    header = (f"{'class':<6} {'k':>3} {'dim':>5} "
               f"{'ordering':<8} {'factor_ms':>10} {'lu_nnz':>9} "
               f"{'solveT_ms':>10}")
     lines = [header]
@@ -72,14 +71,13 @@ def test_ordering_ablation(record_text):
         for k in (K, K - 1):
             ops = model.level(k)
             A = (sp.identity(ops.dim, format="csc") - ops.P.tocsc()).tocsc()
-            cap = "over" if ops.dim > ops.dense_threshold() else "under"
             answers = []
             for order in ORDERINGS:
                 factor_s, nnz, solve_s, y = _measure(A, order)
                 answers.append(y)
                 fill.setdefault((fig, k), {})[order] = nnz
                 lines.append(
-                    f"{fig:<6} {k:>3} {ops.dim:>5} {cap:>5} {order:<8} "
+                    f"{fig:<6} {k:>3} {ops.dim:>5} {order:<8} "
                     f"{factor_s * 1e3:>10.3f} {nnz:>9d} {solve_s * 1e3:>10.4f}"
                 )
             # Both orderings solve the same system.

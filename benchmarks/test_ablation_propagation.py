@@ -1,12 +1,13 @@
-"""Ablation: cached Y·R propagators vs the per-epoch solve recurrence.
+"""Ablation: the default engine vs the per-epoch solve recurrence.
 
-The design decision under test: each refill epoch is one gemv against a
-cached ``Y_K R_K`` propagator (built once per level by a blocked
-multi-RHS solve), instead of an LU triangular solve plus two sparse
-products per epoch (the solve oracle of ``tests/oracle.py``).  Both must
-agree to ≤1e-12 on every figure-class workload; the benchmark quantifies
-the per-epoch win on the fig03- and fig04-class configurations and the
-H2 mixes swept by Fig. 3.
+The default engine (labelled ``"propagator"`` for historical reasons; it
+builds no propagator) steps each refill epoch through the level's
+natural-order LU and one CSR product with ``(Q_K R_K)ᵀ``, once per
+model up to the converged head.  The solve oracle of ``tests/oracle.py``
+re-runs a COLAMD LU solve plus two sparse products every epoch.  Both
+must agree to ≤1e-12 on every figure-class workload; the benchmark times
+both on the fig03- and fig04-class configurations and the H2 mixes
+swept by Fig. 3.
 """
 
 import numpy as np

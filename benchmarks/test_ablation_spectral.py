@@ -1,11 +1,11 @@
-"""Ablation: spectral epoch propagation vs the cached-gemv recurrence.
+"""Ablation: spectral epoch propagation vs the LU-stepped recurrence.
 
 The design decision under test (ISSUE 8 tentpole): eigendecompose
 ``Y_K R_K`` once per model and evaluate any epoch — and the whole refill
 portion of the makespan, as a geometric series — in closed form, instead
-of stepping one gemv per refill epoch.  The refill cost becomes
+of stepping one LU solve per refill epoch.  The refill cost becomes
 independent of ``N``; the headline case is a fig03-class makespan at
-``N = 10⁴``, where the stepped recurrence does 10⁴ − K gemvs and the
+``N = 10⁴``, where a full stepped walk takes 10⁴ − K steps and the
 spectral engine does none.  Both backends must agree to ≤1e-10 on every
 figure-class workload (the same bar the tentpole's acceptance pins), and
 no workload here may trip the engine's fallback ladder.

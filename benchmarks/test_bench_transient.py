@@ -21,9 +21,9 @@ Workloads:
   *relative* property (≥10x), because absolute wall times drift across
   machines and the ratio does not;
 * ``fig06_distributed_k5`` — Figure 6's distributed cluster, disks
-  C² = 10, K=5, N=100 (D(5) = 2668, over the dense propagator cap).  Its
-  top level steps through a natural-order LU; CI gates the factorize
-  and epoch stages so that path cannot quietly slow down.
+  C² = 10, K=5, N=100 (D(5) = 2668), the largest level a figure steps
+  through its natural-order LU; CI gates the factorize and epoch stages
+  so that path cannot quietly slow down.
 """
 
 from __future__ import annotations

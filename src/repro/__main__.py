@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--propagation", choices=("propagator", "spectral"),
                     default="propagator",
                     help="epoch engine of the profiled model: 'propagator' "
-                         "(default; cached gemv) or 'spectral' (closed-form "
+                         "(default; LU-stepped walk) or 'spectral' (closed-form "
                          "eigendecomposition — refill cost independent of "
                          "N); ignored with --robust")
     pf.set_defaults(func=_cmd_profile)

@@ -55,8 +55,7 @@ def solve_steady_state(
 
     The iteration starts from the filling vector ``p_K``, which is already
     close to stationarity in lightly-loaded systems.  Each step is the
-    top level's ``step_YR``: one gemv against the cached ``Y_K R_K``
-    matrix, or an LU solve on a level above the dense cap.
+    top level's ``apply_YR``: one LU solve and one sparse product.
 
     Raises
     ------
@@ -69,7 +68,7 @@ def solve_steady_state(
     x0 = model.entrance_vector(model.K)
     try:
         p_ss = stationary_left_vector(
-            top.step_YR, top.dim, x0=x0, tol=tol, max_iter=max_iter
+            top.apply_YR, top.dim, x0=x0, tol=tol, max_iter=max_iter
         )
     except ConvergenceError as exc:
         raise ConvergenceError(

@@ -25,10 +25,18 @@ refill epoch time is ≤ :data:`TAIL_RTOL` ``· (x_{j+1} τ'_K)``, every
 later refill epoch is charged ``x_{j+1} τ'_K`` and the drain starts from
 ``x_{j+1}``.  A walk on which the rule never fires steps all ``N − K``
 refill epochs.
+
+Every epoch steps through the level's sparse LU.  The refill walk from
+``p_K`` does not depend on ``N``, so each model steps it once per active
+level and keeps it (:class:`_RefillWalk`): a query for any ``N`` reads
+``x_{min(N − K, head)}`` and drains from it with ``K − 1`` solves, its
+hooks and spans still see every epoch in order, and a warm query replays
+a cold one's floating-point sequence bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -46,42 +54,70 @@ __all__ = ["TAIL_RTOL", "TransientModel"]
 #: Relative error allowed on each converged-tail epoch time (see the
 #: module docstring); well below the 10⁵-step recurrence's own drift.
 TAIL_RTOL = 1e-13
+#: Bytes of walk vectors a model keeps per active level.  Heads are
+#: 26–45 epochs on the paper's clusters, far inside it; a walk that has
+#: not converged by then keeps stepping past it without storing.
+WALK_MEMO_BYTES = 4 << 20
 
 
-class _TailRule:
-    """The converged-tail stopping rule of the stepped refill walk.
+class _RefillWalk:
+    """The stepped refill walk ``x_{j+1} = x_j Y_K R_K`` of one model level.
 
-    Fed every refill step ``x_j → x_{j+1}`` by :meth:`converged`; keeps
-    the last step distance and bound for the convergence gauge.
+    ``xs[j]`` is the vector refill epoch ``j`` starts from (kept up to
+    :data:`WALK_MEMO_BYTES`), ``dist[j]``/``bound[j]`` the step distance
+    and tail-rule bound of step ``j`` (module docstring), and ``head``
+    the number of steps after which the rule fired, ``None`` until then.
+    Racing queries step the same sequence; the first to finish a step
+    records it.
     """
 
-    __slots__ = ("_ops", "_tau", "_tau_inf", "distance", "bound")
+    __slots__ = ("_ops", "_lock", "_cap", "_tau",
+                 "xs", "dist", "bound", "head")
 
-    def __init__(self, ops):
+    def __init__(self, ops, x0: np.ndarray):
+        self._ops = ops
+        self._lock = threading.Lock()
+        self._cap = max(1, WALK_MEMO_BYTES // (8 * x0.shape[0]))
         # τ is read at the first rate estimate, after the walk's own
         # first epoch times: a level wrapper may count or check reads.
-        self._ops = ops
         self._tau = None
-        self._tau_inf = 0.0
-        self.distance = 0.0
-        self.bound = float("inf")
+        self.xs, self.dist, self.bound, self.head = [x0], [], [], None
 
-    def converged(self, x: np.ndarray, x_next: np.ndarray) -> bool:
+    def advance(self, j: int, x: np.ndarray) -> tuple[np.ndarray, bool]:
+        """``(x_{j+1}, converged at j + 1)`` for ``x = x_j``: a read when
+        the walk holds ``x_{j+1}``, else one refill step."""
+        xs = self.xs
+        if j + 1 < len(xs):
+            return xs[j + 1], j + 1 == self.head
+        x_next = self._ops.apply_YR(x)
         d = float(np.abs(x_next - x).sum())
-        prev, self.distance = self.distance, d
-        if d == 0.0:
-            self.bound = 0.0
-            return True
-        if not d < prev:  # first step, growing or non-finite distance
-            return False
-        if self._tau is None:
-            self._tau = np.asarray(self._ops.tau, dtype=float)
-            self._tau_inf = float(np.max(np.abs(self._tau)))
-        rho = d / prev
-        self.bound = d * rho / (1.0 - rho) * self._tau_inf
-        # x·τ ≤ ‖τ‖∞ for a distribution: skip the dot until it can matter.
-        return (self.bound <= TAIL_RTOL * self._tau_inf
-                and self.bound <= TAIL_RTOL * float(x_next @ self._tau))
+        prev, bound = ((self.dist[j - 1], self.bound[j - 1]) if j
+                       else (0.0, np.inf))
+        done = d == 0.0
+        if done:
+            bound = 0.0
+        elif d < prev:  # not the first step, nor a growing or non-finite one
+            if self._tau is None:
+                tau = np.asarray(self._ops.tau, dtype=float)
+                self._tau = (tau, float(np.max(np.abs(tau))))
+            tau, tau_inf = self._tau
+            rho = d / prev
+            bound = d * rho / (1.0 - rho) * tau_inf
+            # x·τ ≤ ‖τ‖∞ for a distribution: skip the dot until it can matter.
+            done = (bound <= TAIL_RTOL * tau_inf
+                    and bound <= TAIL_RTOL * float(x_next @ tau))
+        with self._lock:
+            if len(self.dist) == j:
+                self.dist.append(d)
+                self.bound.append(bound)
+                self.head = j + 1 if done else None
+            if len(xs) == j + 1 and j < self._cap:
+                xs.append(x_next)
+        return x_next, done
+
+    def nbytes(self) -> int:
+        """Vectors, plus two float list entries per step taken."""
+        return sum(int(x.nbytes) for x in self.xs) + 64 * len(self.dist)
 
 
 class TransientModel:
@@ -103,20 +139,20 @@ class TransientModel:
         ambient instrumentation (:mod:`repro.obs.runtime`); ``None``
         (the default) costs nothing and leaves results bit-identical.
     propagation:
-        Epoch engine: ``"propagator"`` (the default) caches the explicit
-        ``Y_k R_k`` / ``Y_k`` matrices once per level below the dense cap
-        (blocked multi-column solve) so every epoch is one gemv, steps a
-        level above the cap through its LU, and stops the refill walk at
-        its converged tail (module docstring): each tail epoch time is
-        within :data:`TAIL_RTOL` relative of the fully stepped one, and a
-        walk whose rule never fires steps every epoch; ``"spectral"``
-        eigendecomposes ``Y_K R_K`` once per model (paper §5: the refill
-        recurrence is a power iteration) and evaluates any epoch — and
-        the refill portion of the makespan, as a geometric series over
-        the non-unit spectrum — in closed form, making the refill cost
-        independent of ``N``.  An ill-conditioned decomposition (probe
-        residual, LAPACK failure, CSR-only propagator) downgrades
-        stickily to ``"propagator"`` with a reason-coded
+        Epoch engine: ``"propagator"`` (the default; the name is
+        historical — it builds no propagator) steps every epoch through
+        the level's sparse LU and stops the refill walk at its converged
+        tail (module docstring): each tail epoch time is within
+        :data:`TAIL_RTOL` relative of the fully stepped one, and a walk
+        whose rule never fires steps every epoch; ``"spectral"`` builds
+        the dense ``Y_K R_K`` once per model, eigendecomposes it (paper
+        §5: the refill recurrence is a power iteration) and evaluates any
+        epoch — and the refill portion of the makespan, as a geometric
+        series over the non-unit spectrum — in closed form, making the
+        refill cost independent of ``N``.  An ill-conditioned or
+        unavailable decomposition (probe residual, LAPACK failure, a
+        level over :data:`~repro.laqt.operators.SPECTRAL_DIM_CAP`)
+        downgrades stickily to ``"propagator"`` with a reason-coded
         :class:`~repro.resilience.errors.SpectralFallbackError` recorded
         on :attr:`spectral_fallback` — never a wrong answer.  Both
         engines agree with the per-epoch solve recurrence of
@@ -125,10 +161,11 @@ class TransientModel:
     Notes
     -----
     Construction cost is dominated by assembling the ``K`` sparse operator
-    levels; each is cached, and the per-epoch work afterwards is one gemv
-    against the cached propagator for at most the head of the refill
-    walk (tens of epochs on the paper's clusters) plus the ``K`` drain
-    epochs, regardless of ``N``.  A model holds
+    levels; each is cached with its LU, and the refill walk is stepped
+    once per model up to its converged head (tens of epochs on the
+    paper's clusters) and kept.  A query afterwards reads the walk and
+    steps only its drain epochs, one LU solve each, regardless of ``N``.
+    A model holds
     only plain :class:`~repro.laqt.operators.LevelOperators`: health
     guards and resource budgets belong to the degradation ladder
     (:func:`~repro.resilience.fallback.solve_resilient`), and
@@ -140,6 +177,9 @@ class TransientModel:
     # defaults keep the instrumentation surface well-defined for them.
     _instrument: Instrumentation | None = None
     _propagation: str = "propagator"
+    #: refill walks by active level (see :class:`_RefillWalk`), made on
+    #: first use
+    _walks: dict | None = None
 
     _PROPAGATION_MODES = ("propagator", "spectral")
 
@@ -197,7 +237,7 @@ class TransientModel:
     @property
     def spectral_fallback(self) -> SpectralFallbackError | None:
         """The reason-coded error that downgraded ``"spectral"`` to the
-        gemv path, or ``None`` (engine healthy or never requested)."""
+        LU-stepped walk, or ``None`` (engine healthy or never requested)."""
         return self._spectral_fallback
 
     # -- instrumentation surface ---------------------------------------
@@ -289,6 +329,15 @@ class TransientModel:
             x = x @ self.level(kk).R
             self._entrance[kk] = x
 
+    def _refill_walk(self, k: int) -> _RefillWalk:
+        if self._walks is None:
+            self._walks = {}
+        walk = self._walks.get(k)
+        if walk is None:
+            walk = self._walks.setdefault(
+                k, _RefillWalk(self.level(k), self.entrance_vector(k)))
+        return walk
+
     # ------------------------------------------------------------------
     def interdeparture_times(self, N: int) -> np.ndarray:
         """Mean inter-departure time of every epoch, in departure order.
@@ -364,12 +413,11 @@ class TransientModel:
         drain starts from it.  Both :meth:`interdeparture_times`
         (``observe=True``: hooks, spans, metrics) and
         :meth:`epoch_vectors` (``observe=False``: silent) run through
-        here, so the propagator fast path cannot drift between them.
+        here, reading the model's refill walk, so the two cannot drift.
         """
         k_active = min(self._K, N)
         m = N - k_active
         top = self.level(k_active)
-        x = self.entrance_vector(k_active)
         ins = self._effective_instrument() if observe else None
         hook = ins.on_epoch if ins is not None else None
         if ins is not None and ins.tracer is None and ins.metrics is None:
@@ -377,15 +425,15 @@ class TransientModel:
             # keeping the loop free of dead span/metric branches.
             ins = None
         eng = self._spectral_engine(top) if m else None
-        rule = _TailRule(top) if eng is None else None
-        x0 = x
-        step_refill = top.step_YR
+        if eng is None:
+            walk = self._refill_walk(k_active)
+            x = walk.xs[0]
+            advance = walk.advance
+        else:
+            x = x0 = self.entrance_vector(k_active)
 
-        def advance(j: int, x: np.ndarray) -> tuple[np.ndarray, bool]:
-            if eng is not None:
+            def advance(j: int, x: np.ndarray) -> tuple[np.ndarray, bool]:
                 return eng.propagate(x0, j + 1), False
-            x_next = step_refill(x)
-            return x_next, rule.converged(x, x_next)
 
         head = m
         for j in range(m):
@@ -395,11 +443,14 @@ class TransientModel:
                 visit(j, k_active, top, x)
                 x, done = advance(j, x)
             else:
+                stepped = eng is None and j + 1 >= len(walk.xs)
                 with ins.span("epoch", epoch=j, level=k_active,
                               phase="refill") as sp:
                     visit(j, k_active, top, x)
                     x, done = advance(j, x)
                 self._epoch_metrics(ins, sp)
+                if stepped:
+                    ins.count("repro_sparse_solves_total", kind="apply_YR")
             if done:
                 head = j + 1
                 break
@@ -412,10 +463,11 @@ class TransientModel:
             if eng is not None:
                 ins.gauge("repro_epoch_convergence_distance", eng.gap)
             else:
-                ins.gauge("repro_epoch_convergence_distance", rule.distance)
-                if np.isfinite(rule.bound):
+                ins.gauge("repro_epoch_convergence_distance",
+                          walk.dist[head - 1])
+                if np.isfinite(walk.bound[head - 1]):
                     ins.gauge("repro_epoch_convergence_distance",
-                              rule.bound, quantity="bound")
+                              walk.bound[head - 1], quantity="bound")
         if head < m:
             self._refill_tail(head, m, top, x, fill, hook=hook, ins=ins)
         self._drain_phase(m, k_active, x, visit, hook=hook, ins=ins)
@@ -453,8 +505,8 @@ class TransientModel:
 
         The drain operators are rectangular (``D(k) × D(k−1)``) so they
         have no spectral form; every engine drains through each level's
-        ``step_Y``.  Shared by the stepped recurrence and the spectral bulk
-        paths so the two cannot drift.
+        ``apply_Y``.  Shared by the stepped recurrence and the spectral
+        bulk paths so the two cannot drift.
         """
         for k in range(k_active, 0, -1):
             if hook is not None:
@@ -463,13 +515,15 @@ class TransientModel:
             if ins is None:
                 visit(at, k, ops, x)
                 if k > 1:
-                    x = ops.step_Y(x)
+                    x = ops.apply_Y(x)
             else:
                 with ins.span("epoch", epoch=at, level=k, phase="drain") as sp:
                     visit(at, k, ops, x)
                     if k > 1:
-                        x = ops.step_Y(x)
+                        x = ops.apply_Y(x)
                 self._epoch_metrics(ins, sp)
+                if k > 1:
+                    ins.count("repro_sparse_solves_total", kind="apply_Y")
             at += 1
 
     # -- spectral engine ------------------------------------------------
@@ -598,11 +652,11 @@ class TransientModel:
 
         Equal to ``epoch_vectors(N)[index]`` without materializing the
         other ``N − 1`` vectors: the spectral engine jumps straight to
-        ``p (Y_K R_K)^index`` (O(1) in ``N``), the stepped path stops
-        the recurrence at the requested epoch or at the converged tail,
-        whichever comes first — any refill epoch past the head returns
-        the converged vector — and a drain epoch only steps the partial
-        ``Y_k`` cascade past the refill end.
+        ``p (Y_K R_K)^index`` (O(1) in ``N``), the stepped path reads the
+        model's refill walk at the requested epoch or at its converged
+        head, whichever comes first — any refill epoch past the head
+        returns the converged vector — and a drain epoch only steps the
+        partial ``Y_k`` cascade past the refill end.
         """
         n = self._validate_N(N)
         index = int(index)
@@ -610,24 +664,21 @@ class TransientModel:
             raise ValueError(f"epoch index must be in 0..{n - 1}, got {index!r}")
         k_active = min(self._K, n)
         refill = n - k_active
-        top = self.level(k_active)
-        x = self.entrance_vector(k_active)
-        eng = self._spectral_engine(top) if refill else None
         steps = min(index, refill)
-        if steps:
-            if eng is not None:
-                x = eng.propagate(x, steps)
-            else:
-                rule = _TailRule(top)
-                for _ in range(steps):
-                    x_next = top.step_YR(x)
-                    done = rule.converged(x, x_next)
-                    x = x_next
-                    if done:
-                        break
+        eng = self._spectral_engine(self.level(k_active)) if refill else None
+        if eng is not None:
+            x = eng.propagate(self.entrance_vector(k_active), steps)
+        else:
+            walk = self._refill_walk(k_active)
+            x = walk.xs[0]
+            for j in range(steps):
+                x, done = walk.advance(j, x)
+                if done:
+                    break
+            x = x.copy()
         # Partial drain cascade: epoch refill + d starts after Y_{K} … Y_{K−d+1}.
         for k in range(k_active, k_active - (index - steps), -1):
-            x = self.level(k).step_Y(x)
+            x = self.level(k).apply_Y(x)
         return x
 
     # -- cache-extraction surface (repro.serve) ------------------------
@@ -635,18 +686,22 @@ class TransientModel:
         """Resident bytes of everything this model holds warm.
 
         Sums :meth:`~repro.laqt.operators.LevelOperators.cached_bytes`
-        over the built levels (operators, LU factors, propagators,
-        spectral decompositions) plus the cached entrance vectors — the
-        number the content-addressed model cache charges this model
-        against its byte budget.  Grows as lazy surfaces materialize.
+        over the built levels (operators, LU factors, step products,
+        spectral decompositions) plus the cached entrance vectors and the
+        refill walks' vectors — the number the content-addressed model
+        cache charges this model against its byte budget.  Grows as lazy
+        surfaces materialize.
         """
         total = sum(int(ops.cached_bytes()) for ops in self._levels.values())
         for x in self._entrance.values():
             total += int(x.nbytes)
+        for walk in (self._walks or {}).values():
+            total += walk.nbytes()
         return total
 
     def cache_info(self) -> dict:
-        """Warm-state summary: per-level rows plus entrance bookkeeping."""
+        """Warm-state summary: level rows, entrance and walk bookkeeping."""
+        walks = self._walks or {}
         return {
             "K": self._K,
             "propagation": self.effective_propagation,
@@ -654,6 +709,11 @@ class TransientModel:
             "entrance_cached": len(self._entrance),
             "bytes": self.cached_bytes(),
             "levels": [self._levels[k].cache_info() for k in sorted(self._levels)],
+            "walks": [
+                {"level": k, "steps": len(walks[k].dist),
+                 "head": walks[k].head, "bytes": walks[k].nbytes()}
+                for k in sorted(walks)
+            ],
         }
 
     def level_B(self, k: int) -> np.ndarray:

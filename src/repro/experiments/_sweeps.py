@@ -92,7 +92,7 @@ def _series_label(scv: float) -> str:
 
 def _swept_model(kind: str, role: str, K: int, scv: float,
                  app: ApplicationModel) -> TransientModel:
-    """The one model a sweep point owns (levels/propagators built once)."""
+    """The one model a sweep point owns (levels and walk built once)."""
     station = _SWEEP_STATION[(kind, role)]
     spec = build_cluster(kind, app, K, {station: shape_for_scv(scv)})
     return TransientModel(spec, K)

@@ -3,8 +3,8 @@
 A figure sweep is a list of *independent points* (one per swept C², K, …).
 Each point owns the :class:`~repro.core.transient.TransientModel` it
 builds — every workload size N (and every curve differing only in N) of
-that point is evaluated against the same model, so level operators and
-cached propagators are assembled exactly once per point.
+that point is evaluated against the same model, so level operators, LU
+factors and the refill walk are built exactly once per point.
 
 :class:`SweepExecutor` runs the points:
 

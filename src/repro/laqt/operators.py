@@ -19,15 +19,14 @@ Derived objects (paper §4):
 * ``τ'_k = (I − P_k)⁻¹ M_k⁻¹ ε`` — mean time until the next departure;
 * ``Y_k = (I − P_k)⁻¹ Q_k``    — state seen just after that departure.
 
-``V_k = (I − P_k)⁻¹ M_k⁻¹`` is **never formed densely**: each level keeps a
-sparse LU factorization of ``(I − P_k)`` and exposes ``x ↦ x·Y_k`` as two
-cheap operations (a transposed triangular solve and a sparse product),
-which is what makes the distributed-cluster state spaces tractable.
-
-Epoch stepping follows one rule, fixed when a level is constructed: a
-level with ``dim ≤`` :meth:`LevelOperators.dense_threshold` caches dense
-``Y_k``/``Y_k R_k`` propagators and steps by gemv; a level above it builds
-none and steps through ``apply_Y``/``apply_YR`` on a natural-order LU.
+``V_k = (I − P_k)⁻¹ M_k⁻¹`` and ``Y_k`` are **never formed** by the default
+engine: each level keeps a sparse LU factorization of ``(I − P_k)``,
+factored in the level's natural state order, and steps every epoch
+through it.  A drain epoch ``x ↦ x Y_k`` is one transposed triangular
+solve and one sparse product with ``Q_k``; a refill epoch ``x ↦ x Y_k
+R_k`` is the same solve and one sparse product with ``Q_k R_k``, a CSR
+formed once per level.  Only the opt-in spectral engine builds the dense
+``Y_k R_k`` (below :data:`SPECTRAL_DIM_CAP`) to eigendecompose it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro._util.linalg import left_solve
 from repro.laqt.automata import StationAutomaton
 from repro.laqt.states import LevelSpace
 from repro.obs import runtime as _rt
@@ -52,11 +50,18 @@ __all__ = [
     "build_entrance",
 ]
 
-#: memory cap for one dense cached propagator (bytes of float64 entries);
-#: levels above the derived threshold build none and step through their LU.
-PROPAGATOR_DENSE_BYTES = 32 << 20
-#: column-block width of the multi-RHS solve that builds a propagator
+#: largest level dimension the spectral engine decomposes: it forms the
+#: dense ``Y_k R_k`` (32 MiB of float64 at the cap) and its eigenbasis.
+SPECTRAL_DIM_CAP = 2048
+#: column-block width of the multi-RHS solve that builds ``Y_k R_k``
 PROPAGATOR_BLOCK_COLS = 128
+#: resident bytes charged per SuperLU factor on top of its entries: the
+#: factor object, its permutations and SuperLU's supernode bookkeeping.
+#: Calibrated against process RSS (see :meth:`LevelOperators.cached_bytes`).
+LU_FIXED_BYTES = 48 << 10
+#: resident bytes charged per stored ``L + U`` entry (value, row index and
+#: SuperLU's supernodal padding), calibrated with :data:`LU_FIXED_BYTES`.
+LU_ENTRY_BYTES = 14
 #: probe epochs of the spectral self-check: reconstructed powers are
 #: compared against iterated gemvs at these exponents before the
 #: decomposition is trusted (one near the transient, one deep enough to
@@ -66,8 +71,8 @@ SPECTRAL_PROBE_EPOCHS = (3, 64)
 #: residual times ``‖τ'_k‖∞`` (an epoch time is ``x·τ'``, so a vector
 #: error is amplified by the mean-time scale).  Beyond it the
 #: decomposition is declared ill-conditioned and the solver falls back
-#: to the gemv path.  Matched to the 1e-10 cross-engine equivalence bar
-#: pinned in benchmarks/test_ablation_spectral.py.
+#: to the LU-stepped walk.  Matched to the 1e-10 cross-engine equivalence
+#: bar pinned in benchmarks/test_ablation_spectral.py.
 SPECTRAL_PROBE_TOL = 1e-10
 #: eigenvalues within this distance of 1 belong to the unit eigenspace
 #: (the Perron root is exactly 1 analytically; the computed one is 1±eps).
@@ -173,19 +178,12 @@ class LevelOperators:
     #: entrance operator from the level below (CSR, dim_{k−1} × dim)
     R: sp.csr_matrix
 
-    #: column ordering of the sparse LU (SuperLU's fill-reducing default)
-    PERMC_SPEC = "COLAMD"
-
     def __post_init__(self):
         self._lu: spla.SuperLU | None = None
         self._tau: np.ndarray | None = None
-        self._prop_Y: np.ndarray | None = None
-        self._prop_YR: np.ndarray | None = None
+        self._Qt: sp.csr_matrix | None = None
+        self._QRt: sp.csr_matrix | None = None
         self._spectral_YR: SpectralDecomposition | None = None
-        # The stepping rule is decided here, once per level: the dense
-        # per-epoch path below the cap keeps its plain gemv methods.
-        if self.dim > self.dense_threshold():
-            self.__class__ = _LUSteppedLevel
 
     # ------------------------------------------------------------------
     @property
@@ -221,7 +219,10 @@ class LevelOperators:
     def _factorize(self) -> spla.SuperLU:
         A = sp.identity(self.dim, format="csc") - self.P.tocsc()
         try:
-            return spla.splu(A, permc_spec=self.PERMC_SPEC)
+            # Natural order factors these reduced-product levels faster
+            # than COLAMD, with far less fill on the large ones
+            # (benchmarks/test_ablation_ordering.py).
+            return spla.splu(A, permc_spec="NATURAL")
         except RuntimeError as exc:
             if "singular" not in str(exc).lower():
                 raise
@@ -262,36 +263,34 @@ class LevelOperators:
                 ins.count("repro_sparse_solves_total", kind="tau")
         return self._tau
 
-    # ------------------------------------------------------------------
+    @property
+    def Qt(self) -> sp.csr_matrix:
+        """``Q_kᵀ`` as CSR, formed once: the sparse half of a drain step."""
+        if self._Qt is None:
+            self._Qt = self.Q.T.tocsr()
+        return self._Qt
+
+    @property
+    def QRt(self) -> sp.csr_matrix:
+        """``(Q_k R_k)ᵀ`` as CSR, formed once: the sparse half of a refill step."""
+        if self._QRt is None:
+            self._QRt = (self.Q @ self.R).T.tocsr()
+        return self._QRt
+
+    # -- epoch steps (paper §4: one Y_k per drain, one Y_k R_k per refill) --
     def apply_Y(self, x: np.ndarray) -> np.ndarray:
         """``x ↦ x Y_k`` with ``Y_k = (I − P_k)⁻¹ Q_k`` (state after a departure)."""
-        ins = _rt.ACTIVE
-        if ins is not None:
-            ins.count("repro_sparse_solves_total", kind="apply_Y")
-        return left_solve(self.lu, np.asarray(x, dtype=float)) @ self.Q
+        return self.Qt @ self.lu.solve(x, trans="T")
 
     def apply_YR(self, x: np.ndarray) -> np.ndarray:
         """``x ↦ x Y_k R_k``: departure immediately followed by a refill."""
-        return self.apply_Y(x) @ self.R
+        return self.QRt @ self.lu.solve(x, trans="T")
 
     def mean_epoch_time(self, x: np.ndarray) -> float:
         """Mean time to the next departure from state mix ``x``: ``x τ'_k``."""
         return float(np.asarray(x, dtype=float) @ self.tau)
 
-    # -- cached propagators (paper §4.2, Case 2) -----------------------
-    def dense_threshold(self) -> int:
-        """Largest ``dim`` that caches dense propagators.
-
-        The base cap keeps one dense ``dim × dim`` propagator under
-        :data:`PROPAGATOR_DENSE_BYTES`.  Levels whose ``P_k`` is already
-        dense-ish double the cap: their LU fills in heavily, so a
-        per-epoch solve would cost more than the BLAS gemv.  Levels
-        above the threshold step through their LU instead.
-        """
-        cap = int(np.sqrt(PROPAGATOR_DENSE_BYTES / 8.0))
-        density = self.P.nnz / max(self.dim * self.dim, 1)
-        return 2 * cap if density > 0.02 else cap
-
+    # -- the dense Y_k R_k (spectral engine only) ------------------------
     def _solve_columns(self, B: sp.spmatrix) -> np.ndarray:
         """``(I − P_k)^{-1} B`` through the cached LU, in column blocks.
 
@@ -307,56 +306,19 @@ class LevelOperators:
             out[:, j0:j1] = lu.solve(Bc[:, j0:j1].toarray())
         return out
 
-    def propagator_Y(self) -> np.ndarray:
-        """Cached dense ``Y_k = (I − P_k)^{-1} Q_k``.
+    def _propagator(self) -> np.ndarray:
+        """Dense ``Y_k R_k`` by a blocked multi-column solve over ``Q_k``."""
+        return self._solve_columns(self.Q) @ self.R  # dense @ csr: ndarray
 
-        Built once per level by a blocked multi-column solve over ``Q_k``.
-        Amortizes the drain cascade: every later ``x Y_k`` is one gemv.
-        Levels above :meth:`dense_threshold` never call it.
-        """
-        if self._prop_Y is None:
-            self._prop_Y = self._build_propagator("Y")
-        return self._prop_Y
-
-    def propagator_YR(self) -> np.ndarray:
-        """Cached refill operator ``Y_k R_k`` (one matrix per level).
-
-        This is the fixed operator every refill epoch applies (paper
-        §4.2, Case 2): with it cached, the whole refill phase is a tight
-        gemv recurrence ``x_{j+1} = x_j · (Y_K R_K)``.
-        """
-        if self._prop_YR is None:
-            self._prop_YR = self._build_propagator("YR")
-        return self._prop_YR
-
-    def _build_propagator(self, kind: str) -> np.ndarray:
+    def _build_propagator(self) -> np.ndarray:
         ins = _rt.ACTIVE
         if ins is None:
-            return self._propagator(kind)
-        with ins.span(
-            "propagator", level=self.k, kind=kind, dim=self.dim,
-            storage="dense",
-        ):
-            mat = self._propagator(kind)
-        ins.count("repro_propagators_built_total", kind=kind, storage="dense")
+            return self._propagator()
+        with ins.span("propagator", level=self.k, kind="YR", dim=self.dim,
+                      storage="dense"):
+            mat = self._propagator()
+        ins.count("repro_propagators_built_total", kind="YR", storage="dense")
         return mat
-
-    def _propagator(self, kind: str) -> np.ndarray:
-        if kind == "Y":
-            return self._solve_columns(self.Q)
-        return self.propagator_Y() @ self.R  # dense @ csr yields ndarray
-
-    def step_Y(self, x: np.ndarray) -> np.ndarray:
-        """``x ↦ x Y_k`` through the cached propagator (one gemv).
-
-        Levels above :meth:`dense_threshold` replace this (and
-        :meth:`step_YR`) by the :meth:`apply_Y` solve.
-        """
-        return np.asarray(x, dtype=float) @ self.propagator_Y()
-
-    def step_YR(self, x: np.ndarray) -> np.ndarray:
-        """``x ↦ x Y_k R_k`` through the cached propagator (one gemv)."""
-        return np.asarray(x, dtype=float) @ self.propagator_YR()
 
     # -- spectral refill engine (paper §5: the refill is a power iteration) --
     def spectral_YR(self) -> SpectralDecomposition:
@@ -375,8 +337,8 @@ class LevelOperators:
             Reason-coded refusal (``dim-cap`` / ``eig-failed`` /
             ``nonfinite`` / ``residual``) when the decomposition is
             unavailable or numerically untrustworthy.  Callers downgrade
-            to the cached-propagator gemv path; a wrong answer is never
-            produced from a bad eigenbasis.
+            to the LU-stepped walk; a wrong answer is never produced from
+            a bad eigenbasis.
         """
         if self._spectral_YR is None:
             ins = _rt.ACTIVE
@@ -392,7 +354,14 @@ class LevelOperators:
         return self._spectral_YR
 
     def _eig_decompose(self) -> SpectralDecomposition:
-        T = self.propagator_YR()
+        if self.dim > SPECTRAL_DIM_CAP:
+            raise SpectralFallbackError(
+                f"level {self.k}: dim {self.dim} is over the spectral cap "
+                f"{SPECTRAL_DIM_CAP}; the dense Y·R it would decompose is "
+                "not built",
+                cause="dim-cap", level=self.k, dim=self.dim,
+            )
+        T = self._build_propagator()
         try:
             w, V = np.linalg.eig(T)
             Vinv = np.linalg.inv(V)
@@ -464,20 +433,22 @@ class LevelOperators:
         """Resident bytes of this level: operators plus every lazy cache.
 
         Counts the assembled ``P/Q/R`` and rate vector, then whatever the
-        lazy surfaces have materialized so far — ``τ'``, the LU factors
-        (``SuperLU.nnz`` entries at 12 bytes each: float64 value plus an
-        int32 index), the dense propagators and the spectral
-        eigentriple.  This is the number the model cache's byte-budget
-        eviction sums, so it grows as a model warms up.
+        lazy surfaces have materialized so far: ``τ'``, the ``Q_kᵀ`` and
+        ``(Q_k R_k)ᵀ`` step products, the LU factor and the spectral
+        eigentriple.  A SuperLU factor is charged
+        :data:`LU_FIXED_BYTES` plus :data:`LU_ENTRY_BYTES` per stored
+        entry (``SuperLU.nnz``), fitted to the process RSS factors of
+        5–985 states add on the central and distributed clusters (a
+        5-state factor holds 30 entries but 10–21 KiB).  A warm model's
+        RSS is 1.1–1.3× its charge; state-space arrays and object headers
+        are not counted.  This is the number the model cache's
+        byte-budget eviction sums, so it grows as a model warms up.
         """
         total = int(self.rates.nbytes)
-        for mat in (self.P, self.Q, self.R):
+        for mat in (self.P, self.Q, self.R, self._tau, self._Qt, self._QRt):
             total += self._stored_bytes(mat)
-        total += self._stored_bytes(self._tau)
-        total += self._stored_bytes(self._prop_Y)
-        total += self._stored_bytes(self._prop_YR)
         if self._lu is not None:
-            total += 12 * int(getattr(self._lu, "nnz", 0) or 0)
+            total += LU_FIXED_BYTES + LU_ENTRY_BYTES * int(self._lu.nnz)
         sd = self._spectral_YR
         if sd is not None:
             total += int(sd.w.nbytes + sd.V.nbytes + sd.Vinv.nbytes
@@ -493,8 +464,6 @@ class LevelOperators:
             "bytes": self.cached_bytes(),
             "lu": self._lu is not None,
             "tau": self._tau is not None,
-            "propagator_Y": None if self._prop_Y is None else "dense",
-            "propagator_YR": None if self._prop_YR is None else "dense",
             "spectral": self._spectral_YR is not None,
         }
 
@@ -508,26 +477,6 @@ class LevelOperators:
         memory in ``dim``)."""
         inv = self.lu.solve(np.eye(self.dim))
         return inv @ np.diag(1.0 / self.rates)
-
-
-class _LUSteppedLevel(LevelOperators):
-    """A level above the dense cap: steps by solves, never a propagator.
-
-    Natural order fills these reduced-product levels far less than
-    COLAMD (``benchmarks/test_ablation_ordering.py``).
-    """
-
-    PERMC_SPEC = "NATURAL"
-    step_Y = LevelOperators.apply_Y
-    step_YR = LevelOperators.apply_YR
-
-    def _eig_decompose(self) -> SpectralDecomposition:
-        raise SpectralFallbackError(
-            f"level {self.k}: dim {self.dim} is over the dense propagator "
-            f"threshold {self.dense_threshold()}; the level steps through "
-            "its LU and has no Y·R matrix to decompose",
-            cause="dim-cap", level=self.k, dim=self.dim,
-        )
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:

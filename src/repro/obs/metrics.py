@@ -413,7 +413,7 @@ CATALOG: tuple[tuple[str, str, str], ...] = (
     ("counter", "repro_levels_built_total",
      "Level operator sets assembled"),
     ("counter", "repro_propagators_built_total",
-     "Cached Y/YR propagator matrices built, by kind and storage"),
+     "Dense Y·R matrices built for the spectral engine, by kind and storage"),
     ("counter", "repro_sweep_points_total",
      "Experiment sweep points solved, by execution mode"),
     ("counter", "repro_guard_trips_total",
@@ -441,8 +441,8 @@ CATALOG: tuple[tuple[str, str, str], ...] = (
     ("counter", "repro_lease_renewals_total",
      "Lease heartbeat renewals performed by shard workers"),
     ("counter", "repro_spectral_fallbacks_total",
-     "Spectral epoch engines declined (sticky downgrades to the gemv "
-     "path), by reason code"),
+     "Spectral epoch engines declined (sticky downgrades to the "
+     "LU-stepped walk), by reason code"),
     ("counter", "repro_cache_hits_total",
      "Model-cache lookups served from a warm entry"),
     ("counter", "repro_cache_misses_total",

@@ -210,14 +210,14 @@ class BudgetExceededError(SolverError):
 
 
 class SpectralFallbackError(SolverError):
-    """The spectral epoch engine declined and the gemv path must be used.
+    """The spectral epoch engine declined and the LU-stepped walk is used.
 
     Raised by ``LevelOperators.spectral_YR()`` when the eigendecomposition
     of ``Y_K R_K`` is unavailable or untrustworthy.  ``cause`` is a short
-    stable slug — one of ``"dim-cap"`` (the level is over the dense
-    propagator cap and steps through its LU, so there is no ``Y·R``
-    matrix to decompose), ``"eig-failed"`` (LAPACK did not converge or the
-    eigenbasis is numerically singular), ``"nonfinite"`` (the
+    stable slug — one of ``"dim-cap"`` (the level is over
+    :data:`~repro.laqt.operators.SPECTRAL_DIM_CAP`, so its dense ``Y·R``
+    is not built to be decomposed), ``"eig-failed"`` (LAPACK did not
+    converge or the eigenbasis is numerically singular), ``"nonfinite"`` (the
     decomposition contains NaN/inf), ``"residual"`` (the probe-epoch
     residual check failed: reconstructed powers drift from iterated
     ones) — and the instance :attr:`reason` is

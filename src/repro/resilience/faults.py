@@ -124,8 +124,8 @@ class FaultyLevel(LevelView):
 
     Presents the full operator surface (``k``, ``dim``, ``space``,
     ``rates``, ``P``, ``Q``, ``R``, ``lu``, ``tau``, ``apply_Y``,
-    ``apply_YR``, ``step_Y``, ``step_YR``, ``mean_epoch_time``) so it can
-    be dropped anywhere the real operators go.
+    ``apply_YR``, ``mean_epoch_time``) so it can be dropped anywhere the
+    real operators go.
     """
 
     def __init__(self, ops: LevelOperators, plan: FaultPlan):
@@ -180,16 +180,8 @@ class FaultyLevel(LevelView):
         return self._poison(self._ops.apply_Y(x))
 
     def apply_YR(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_Y(x) @ self.R
-
-    # -- cached-propagator surface --------------------------------------
-    def step_Y(self, x: np.ndarray) -> np.ndarray:
-        self.lu  # near-singular fault also blocks the propagator path
-        return self._poison(self._ops.step_Y(x))
-
-    def step_YR(self, x: np.ndarray) -> np.ndarray:
         self.lu
-        return self._poison(self._ops.step_YR(x))
+        return self._poison(self._ops.apply_YR(x))
 
     def mean_epoch_time(self, x: np.ndarray) -> float:
         return float(np.asarray(x, dtype=float) @ self.tau)

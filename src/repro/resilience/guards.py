@@ -331,6 +331,13 @@ class GuardedLevel(LevelView):
             y = self._refined_left(x) @ self.Q
         return y
 
+    def _solve_YR(self, x: np.ndarray) -> np.ndarray:
+        y = self._ops.apply_YR(x)
+        if not self._healthy(y) and self._refine:
+            _note_trip("apply_YR", "refine", self.k)
+            y = (self._refined_left(x) @ self.Q) @ self.R
+        return y
+
     # -- checked outputs --------------------------------------------------
     @property
     def tau(self) -> np.ndarray:
@@ -346,25 +353,8 @@ class GuardedLevel(LevelView):
                                 where="apply_Y" + self._site, level=self.k)
 
     def apply_YR(self, x: np.ndarray) -> np.ndarray:
-        y = self.apply_Y(x) @ self.R
-        return check_stochastic(y, self._cfg, where="apply_YR" + self._site,
-                                level=self.k)
-
-    def step_Y(self, x: np.ndarray) -> np.ndarray:
-        y = self._ops.step_Y(x)
-        if not self._healthy(y) and self._refine:
-            # Corrupted propagator product: fall back to the exact solve
-            # path with one refinement step (same retry as apply_Y).
-            _note_trip("apply_Y", "refine", self.k)
-            y = self._refined_left(x) @ self.Q
-        return check_stochastic(y, self._cfg, where="apply_Y", level=self.k)
-
-    def step_YR(self, x: np.ndarray) -> np.ndarray:
-        y = self._ops.step_YR(x)
-        if not self._healthy(y) and self._refine:
-            _note_trip("apply_YR", "refine", self.k)
-            y = (self._refined_left(x) @ self.Q) @ self.R
-        return check_stochastic(y, self._cfg, where="apply_YR", level=self.k)
+        return check_stochastic(self._solve_YR(x), self._cfg,
+                                where="apply_YR" + self._site, level=self.k)
 
     def mean_epoch_time(self, x: np.ndarray) -> float:
         t = float(np.asarray(x, dtype=float) @ self.tau)
@@ -388,9 +378,7 @@ class DenseLevel(GuardedLevel):
     wrapper solves through :func:`scipy.linalg.lu_factor` instead —
     quadratic memory, so the degradation ladder only engages it below its
     ``dense_dim_cap``.  Outputs are checked as in :class:`GuardedLevel`;
-    there is no rcond gate and no refinement, and every epoch steps by
-    solves (the per-epoch cost is already O(dim²), so a cached propagator
-    would buy nothing).
+    there is no rcond gate and no refinement.
     """
 
     _site = "(dense)"
@@ -427,8 +415,5 @@ class DenseLevel(GuardedLevel):
         z = self._lu_solve(self._factors, np.asarray(x, dtype=float), trans=1)
         return z @ self.Q
 
-    def step_Y(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_Y(x)
-
-    def step_YR(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_YR(x)
+    def _solve_YR(self, x: np.ndarray) -> np.ndarray:
+        return self._solve_Y(x) @ self.R

@@ -3,7 +3,7 @@
 The paper's pitch is that one cheap analytic model answers what-if
 questions that would each cost a simulation run — but a cold
 :class:`~repro.core.transient.TransientModel` still pays operator
-assembly, LU factorization and propagator construction before its first
+assembly, LU factorization and its refill walk before its first
 answer.  This package amortizes that cost across queries:
 
 * :mod:`repro.serve.cache` — a content-addressed, byte-budgeted LRU of

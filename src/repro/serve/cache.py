@@ -9,17 +9,16 @@ two machines therefore compute the same key for the same question, and a
 changed parameter or package upgrade *misses* instead of silently reusing
 a stale model.
 
-The cache holds the models themselves — factorized levels, cached dense
-``Y_k``/``Y_K R_K`` propagators of the levels under the dense cap (the
-levels above it keep only their LU), entrance vectors — so a warm hit
-skips straight to the epoch recurrence.  Eviction is by resident
-**bytes**, not entry count: every entry is re-measured
-through the solver's own cache-extraction surface
-(:meth:`~repro.core.transient.TransientModel.cached_bytes`) as it warms,
-mirroring how ``dense_threshold`` caps a single propagator.  Least
-recently used entries go first; the entry just used is never evicted, so
-one oversized model still works (it just pins the budget until the next
-insert).
+The cache holds the models themselves — levels with their LU factors,
+entrance vectors and the converged refill walk — so a warm hit reads
+the walk and steps only the drain.  Eviction is by resident **bytes**,
+not entry count: every entry is re-measured through the solver's own
+cache-extraction surface
+(:meth:`~repro.core.transient.TransientModel.cached_bytes`, which
+charges each SuperLU factor its calibrated resident footprint) as it
+warms.  Least recently used entries go first; the entry just used is
+never evicted, so one oversized model still works (it just pins the
+budget until the next insert).
 
 Thread safety: lookups, LRU bookkeeping and the byte/entry gauge reads
 run under one lock, and a per-fingerprint build latch guarantees racing
@@ -55,10 +54,9 @@ __all__ = [
 #: Fingerprint schema tag (bump on incompatible key-derivation changes).
 MODEL_SCHEMA = "repro-model-cache/1"
 
-#: Default byte budget: room for a handful of warm paper-scale models
-#: (a fig04-class model holds a few MB of operators and propagators),
-#: sized like the propagator dense cap — generous for answers, bounded
-#: for a long-lived daemon.
+#: Default byte budget: room for many warm paper-scale models (a
+#: fig04-class model is charged about 1 MB of operators, LU factors and
+#: walk) — generous for answers, bounded for a long-lived daemon.
 DEFAULT_CACHE_BYTES = 256 << 20
 
 
@@ -220,7 +218,7 @@ class ModelCache:
         """Re-measure one entry after use and enforce the byte budget.
 
         A model's resident bytes grow as queries warm its lazy surfaces
-        (LU factors, propagators); callers that
+        (LU factors, refill walks); callers that
         just solved through a model settle it so the accounting tracks
         reality and eviction fires as soon as the budget is crossed.
         """

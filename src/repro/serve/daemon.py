@@ -36,7 +36,8 @@ control"): every solve passes an :class:`~repro.serve.admission.
 AdmissionController` — bounded in-flight, bounded wait queue with
 deadline eviction, cost-aware admission via the exact ``D_RP(k)``
 prediction, and a brownout mode that answers makespans on the ladder
-``exact`` → ``amva`` while the queue is past its watermark.  Shed responses are ``429``/``503`` with a
+``exact`` (from the model cache) → ``amva`` while the queue is past its
+watermark.  Shed responses are ``429``/``503`` with a
 ``Retry-After`` header; brownout/down-tier answers are ``203`` with the
 honest ladder report attached.
 
@@ -586,14 +587,9 @@ class ServeDaemon:
         )
         if verdict == "downtier":
             # Over the cost caps: the operator-free amva rung answers.
-            return await self._solve_ladder(query, deadline,
-                                            ladder=("amva",),
-                                            cause="downtier")
+            return await self._solve_ladder(query, deadline, cause="downtier")
         if self.admission.brownout and query.metric == "makespan":
-            return await self._solve_ladder(
-                query, deadline, ladder=("exact", "amva"),
-                cause="brownout",
-            )
+            return await self._solve_ladder(query, deadline, cause="brownout")
         if robust:
             return await self._solve_robust(query, deadline)
         answer = await self._offload(
@@ -637,26 +633,36 @@ class ServeDaemon:
         }
 
     async def _solve_ladder(self, query: Query, deadline: float | None, *,
-                            ladder: tuple[str, ...],
                             cause: str) -> tuple[int, dict]:
         """Policy-degraded solve (brownout / cost down-tier): always 203.
 
-        The answer is honest — it carries the ladder report and the
+        The answer is honest — it carries the method, a summary and the
         ``cause`` flag.  Down-tiering runs only the operator-free
-        ``amva`` estimate.  Brownout tries ``exact`` first: the converged
-        tail makes it as cheap as any approximation of the same limit,
-        and ``amva`` answers if it fails."""
+        ``amva`` estimate.  Brownout answers ``exact`` from the model
+        cache: a warm model reads its converged refill walk and steps
+        only the drain, so the exact answer is the cheapest one, bit for
+        bit the plain solve.  Only a ``SolverError`` there sends it on to
+        ``amva``."""
         from repro.resilience.errors import SolverError
         from repro.resilience.fallback import ResilienceConfig, solve_resilient
 
         def work():
-            return solve_resilient(
-                query.spec, query.K, query.N,
-                ResilienceConfig(ladder=ladder),
-            )
+            failed = ""
+            if cause == "brownout":
+                try:
+                    answer = self.service.solve(query)
+                except SolverError as exc:
+                    failed = f"exact[{exc.reason}]: "
+                else:
+                    return ("exact", float(answer.value),
+                            f"exact solve ok ({answer.seconds:.3g}s)")
+            result = solve_resilient(query.spec, query.K, query.N,
+                                     ResilienceConfig(ladder=("amva",)))
+            return (result.report.method, float(result.makespan),
+                    failed + result.report.summary())
 
         try:
-            result = await self._offload(work, deadline)
+            method, value, summary = await self._offload(work, deadline)
         except SolverError as exc:
             return RUNG_STATUS[2], {
                 "status": "failed", "rung": 2,
@@ -668,10 +674,10 @@ class ServeDaemon:
             "status": "degraded",
             "rung": 1,
             cause: True,
-            "method": result.report.method,
-            "value": encode_value(float(result.makespan)),
-            "display": float(result.makespan),
-            "summary": result.report.summary(),
+            "method": method,
+            "value": encode_value(value),
+            "display": value,
+            "summary": summary,
         }
 
     async def _solve_many(self, doc: dict) -> tuple[int, dict]:

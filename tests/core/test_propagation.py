@@ -1,8 +1,9 @@
-"""The cached-propagator epoch engine vs the historical solve recurrence.
+"""The default epoch engine vs the historical solve recurrence.
 
-The default engine collapses each epoch to one gemv against a cached
-``Y_k``/``Y_K R_K`` matrix; the solve recurrence of ``tests/oracle.py``
-is the bit-exact historical path (LU solve + sparse product per epoch).
+The default engine steps each epoch through a natural-order LU and one
+CSR product, walking the refill once per model; the solve recurrence of
+``tests/oracle.py`` is the bit-exact historical path (COLAMD LU solve +
+sparse products per epoch).
 The two must agree to near machine precision on every workload class, and
 the shared epoch recurrence must expose identical hook/epoch-vector
 semantics.

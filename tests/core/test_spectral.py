@@ -169,11 +169,11 @@ class TestSpectralFallback:
         assert model.spectral_fallback.residuals  # probe residuals recorded
 
     def test_dim_cap(self, monkeypatch):
-        """A level over the dense cap declines before building anything."""
+        """A level over the spectral cap declines before building anything."""
         import repro.laqt.operators as ops_mod
 
         reference = TransientModel(_spec("h2-10"), 4).interdeparture_times(12)
-        monkeypatch.setattr(ops_mod, "PROPAGATOR_DENSE_BYTES", 8)
+        monkeypatch.setattr(ops_mod, "SPECTRAL_DIM_CAP", 2)
         model = TransientModel(_spec("h2-10"), 4, propagation="spectral")
         ins = Instrumentation.enabled(measure_rss=False)
         with ins.activate():

@@ -9,6 +9,7 @@ from repro.clusters import ApplicationModel, central_cluster
 from repro.core import TransientModel
 from repro.distributions import Shape, exponential
 from repro.network import DELAY, NetworkSpec, Station
+from repro.obs import Instrumentation
 from tests import oracle
 
 
@@ -133,38 +134,45 @@ class TestKnownAnswers:
 
 
 class TestAboveCapLUStepping:
-    """Levels above the dense propagator cap step through a natural-order LU.
+    """Every level steps through a natural-order LU and builds no propagator.
 
-    The rule is fixed per level at construction: ``dim ≤ dense_threshold()``
-    keeps the cached dense propagators and COLAMD; anything larger builds
-    no propagator and runs ``step_Y``/``step_YR`` as the exact solves.
+    The name is historical: only levels above a dense propagator cap used
+    to step this way.  There is no cap now; the refill step is one
+    transposed solve and one CSR product with ``(Q_k R_k)ᵀ``.
     """
 
-    @pytest.fixture
-    def tiny_caps(self, monkeypatch):
-        """Shrink the dense cap so every level with dim > 2 is over it."""
-        import repro.laqt.operators as ops_mod
-
-        monkeypatch.setattr(ops_mod, "PROPAGATOR_DENSE_BYTES", 8)
-        return ops_mod
-
-    def test_builds_no_propagator(self, central_h2_spec, tiny_caps):
+    def test_builds_no_propagator(self, central_h2_spec):
         model = TransientModel(central_h2_spec, 5)
-        model.interdeparture_times(30)
-        above = [row for row in model.cache_info()["levels"]
-                 if row["dim"] > model.level(row["level"]).dense_threshold()]
-        assert [row["level"] for row in above] == [1, 2, 3, 4, 5]
-        for row in above:
+        ins = Instrumentation.enabled(measure_rss=False)
+        with ins.activate():
+            model.interdeparture_times(30)
+        rows = model.cache_info()["levels"]
+        assert [row["level"] for row in rows] == [1, 2, 3, 4, 5]
+        for row in rows:
             assert row["lu"]
-            assert row["propagator_Y"] is None
-            assert row["propagator_YR"] is None
+            assert not row["spectral"]
+        built = ins.metrics.counter("repro_propagators_built_total")
+        assert built.labels_seen() == []
+        assert "propagator" not in {sp.name for sp in ins.tracer.spans}
 
-    def test_lu_is_natural_order(self, central_h2_spec, tiny_caps):
-        ops = TransientModel(central_h2_spec, 5).level(5)
-        assert ops.PERMC_SPEC == "NATURAL"
-        assert np.array_equal(ops.lu.perm_c, np.arange(ops.dim))
+    def test_only_spectral_builds_a_propagator(self, central_h2_spec):
+        model = TransientModel(central_h2_spec, 5, propagation="spectral")
+        ins = Instrumentation.enabled(measure_rss=False)
+        with ins.activate():
+            model.interdeparture_times(30)
+        assert model.effective_propagation == "spectral"
+        rows = model.cache_info()["levels"]
+        assert [row["spectral"] for row in rows] == [False] * 4 + [True]
+        built = ins.metrics.counter("repro_propagators_built_total")
+        assert built.value(kind="YR", storage="dense") == 1
 
-    def test_matches_solve_path(self, central_h2_spec, tiny_caps):
+    def test_lu_is_natural_order(self, central_h2_spec):
+        model = TransientModel(central_h2_spec, 5)
+        for k in range(1, 6):
+            ops = model.level(k)
+            assert np.array_equal(ops.lu.perm_c, np.arange(ops.dim))
+
+    def test_matches_solve_path(self, central_h2_spec):
         fast = TransientModel(central_h2_spec, 5)
         hist = TransientModel(central_h2_spec, 5)
         np.testing.assert_allclose(
@@ -172,7 +180,7 @@ class TestAboveCapLUStepping:
             rtol=0.0, atol=1e-12,
         )
 
-    def test_guarded_level_steps_through_lu(self, central_h2_spec, tiny_caps):
+    def test_guarded_level_steps_through_lu(self, central_h2_spec):
         from repro.resilience.fallback import ResilienceConfig, ResilientSolver
 
         plain = TransientModel(central_h2_spec, 5).interdeparture_times(30)
@@ -180,12 +188,10 @@ class TestAboveCapLUStepping:
                                  ResilienceConfig(ladder=("exact",)))
         res = solver.solve(30)
         assert res.report.method == "exact"
-        np.testing.assert_allclose(res.interdeparture_times, plain,
-                                   rtol=0.0, atol=1e-12)
-        base = solver._base_model()
-        assert base.cache_info()["levels"][-1]["propagator_YR"] is None
+        assert np.array_equal(res.interdeparture_times, plain)
+        assert not solver._base_model().cache_info()["levels"][-1]["spectral"]
 
-    def test_fault_drill_recovers_through_lu(self, central_h2_spec, tiny_caps):
+    def test_fault_drill_recovers_through_lu(self, central_h2_spec):
         from repro.resilience.fallback import ResilienceConfig, solve_resilient
         from repro.resilience.faults import FaultPlan
 
@@ -196,20 +202,27 @@ class TestAboveCapLUStepping:
         np.testing.assert_allclose(res.interdeparture_times, plain,
                                    rtol=0.0, atol=1e-12)
 
-    def test_below_cap_keeps_dense_propagator(self, central_spec):
+    def test_small_level_steps_through_lu(self, central_spec):
+        """A 30-state level, under the old dense cap, steps the same way."""
         model = TransientModel(central_spec, 3)
-        model.interdeparture_times(10)
         ops = model.level(3)
-        assert ops.dim <= ops.dense_threshold()
-        assert ops.PERMC_SPEC == "COLAMD"
-        assert model.cache_info()["levels"][-1]["propagator_YR"] == "dense"
+        x = model.entrance_vector(3)
+        want = ops.QRt @ ops.lu.solve(x, trans="T")
+        assert np.array_equal(ops.apply_YR(x), want)
+        assert np.array_equal(ops.lu.perm_c, np.arange(ops.dim))
+        np.testing.assert_allclose(
+            model.interdeparture_times(10),
+            oracle.interdeparture_times(TransientModel(central_spec, 3), 10),
+            rtol=0.0, atol=1e-12,
+        )
 
 
 def test_fig06_distributed_k5_matches_solve_path():
-    """A real above-cap level: fig06's distributed K=5 point, C²=10.
+    """fig06's distributed K=5 point, C²=10: a 2668-state top level.
 
-    Its top level (D(5)=2668) is over the default dense cap, so the
-    default model steps it through the natural-order LU.
+    The level the old dense cap singled out for LU stepping; every
+    level steps that way now, and this one must still match the
+    COLAMD-factored solve oracle.
     """
     from repro.clusters import distributed_cluster
 
@@ -217,9 +230,8 @@ def test_fig06_distributed_k5_matches_solve_path():
                                shapes={"disk": Shape.hyperexp(10.0)})
     fast = TransientModel(spec, 5)
     hist = TransientModel(spec, 5)
-    top = fast.level(5)
-    assert top.dim == 2668 and top.dim > top.dense_threshold()
+    assert fast.level(5).dim == 2668
     for N in (30, 100):
         assert fast.makespan(N) == pytest.approx(oracle.makespan(hist, N),
                                                  rel=1e-12, abs=0.0)
-    assert fast.cache_info()["levels"][-1]["propagator_YR"] is None
+    assert not fast.cache_info()["levels"][-1]["spectral"]

@@ -14,9 +14,9 @@ from tests import oracle
 
 #: sha256 over fig03's series (names + float64 bytes), recorded before the
 #: observability layer existed.  Pinned on the solve recurrence of
-#: ``tests/oracle.py`` — the bit-exact historical path; the default
-#: propagator path agrees to ~1e-15 but factors (I − P) differently, so
-#: its bits legitimately moved.
+#: ``tests/oracle.py`` — the bit-exact historical path, on its own COLAMD
+#: factors; the default engine agrees to ~1e-15 but factors (I − P) in
+#: natural order and steps differently, so its bits legitimately moved.
 #: Any change here means something perturbed the numerics of the
 #: historical path itself.
 FIG03_BASELINE_SHA256 = (

@@ -64,26 +64,29 @@ class TestTransientMetrics:
         assert m.counter("repro_epochs_solved_total").value() == 30
         assert m.counter("repro_levels_built_total").value() == 5
         assert m.counter("repro_factorizations_total").value() == 5
-        # tau per level; the default propagator path replaces the per-epoch
-        # apply_Y/apply_YR sparse solves with cached gemv steps
-        assert m.counter("repro_sparse_solves_total").value(kind="tau") == 5
-        assert m.counter("repro_sparse_solves_total").value(kind="apply_Y") == 0
-        props = m.counter("repro_propagators_built_total")
-        # Y built for every level the recurrence steps through (k=5..2);
-        # YR only at the top level, where refill happens
-        assert props.value(kind="Y", storage="dense") == 4
-        assert props.value(kind="YR", storage="dense") == 1
+        # tau per level, one LU solve per stepped epoch: the 25 refill
+        # steps of the top level and the drain steps k = 5..2
+        solves = m.counter("repro_sparse_solves_total")
+        assert solves.value(kind="tau") == 5
+        assert solves.value(kind="apply_YR") == 25
+        assert solves.value(kind="apply_Y") == 4
+        # the default engine builds no Y/YR propagator at any level
+        assert m.counter("repro_propagators_built_total").labels_seen() == []
 
-    def test_counters_solve_ablation(self):
-        """The solve oracle keeps the historical per-epoch solve counts."""
+    def test_counters_warm_rerun(self):
+        """A warm query reads the model's refill walk: only the drain
+        solves are stepped again."""
+        model = _model()
+        model.interdeparture_times(30)
         ins = Instrumentation.enabled(measure_rss=False)
         with ins.activate():
-            oracle.interdeparture_times(_model(), 30)
+            model.interdeparture_times(30)
         m = ins.metrics
-        # tau per level + apply_YR/apply_Y per epoch with k>1
-        assert m.counter("repro_sparse_solves_total").value(kind="tau") == 5
-        assert m.counter("repro_sparse_solves_total").value(kind="apply_Y") == 29
-        assert m.counter("repro_propagators_built_total").labels_seen() == []
+        assert m.counter("repro_epochs_solved_total").value() == 30
+        solves = m.counter("repro_sparse_solves_total")
+        assert solves.value(kind="apply_YR") == 0
+        assert solves.value(kind="apply_Y") == 4
+        assert m.counter("repro_factorizations_total").value() == 0
 
     def test_gauges_labelled_by_level(self, traced_run):
         g = traced_run.metrics.gauge("repro_level_dim")

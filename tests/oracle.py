@@ -6,10 +6,12 @@ benchmarks should ever pick them:
 
 * the **solve recurrence** — the historical per-epoch engine: every
   refill epoch re-runs the transposed triangular solve of ``(I − P_K)``
-  and two sparse products (``apply_YR``), every drain epoch ``apply_Y``,
-  over a model's own levels and entrance vector.  It builds no
-  propagator and no eigenbasis, so it checks both epoch engines, and it
-  is the path the fig03 bit-identity pin was recorded on;
+  and two sparse products (``x ↦ (x (I − P_K)⁻¹ Q_K) R_K``), every drain
+  epoch the solve and ``Q_k``, over a model's own operators and entrance
+  vector.  It factors each level itself, in SuperLU's COLAMD order as the
+  historical engine did, and builds no propagator and no eigenbasis, so
+  it checks both epoch engines independently of their factorization, and
+  it is the path the fig03 bit-identity pin was recorded on;
 * the **reference assembly** — the per-state Python loops that
   :func:`~repro.laqt.operators.build_level` vectorizes, selected by
   :class:`ReferenceModel`.
@@ -21,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.core.transient import TransientModel
 from repro.laqt.automata import Completion, Internal, StationAutomaton
@@ -38,17 +41,38 @@ __all__ = [
 
 
 # -- the solve recurrence ----------------------------------------------
+class _SolveLevel:
+    """One level as the historical engine stepped it: a COLAMD LU of
+    ``(I − P_k)``, ``τ'_k`` through it, and the solve-then-products step."""
+
+    def __init__(self, ops):
+        A = sp.identity(ops.dim, format="csc") - ops.P.tocsc()
+        self._lu = spla.splu(A, permc_spec="COLAMD")
+        self._Q, self._R = ops.Q, ops.R
+        self.tau = self._lu.solve(1.0 / ops.rates)
+
+    def apply_Y(self, x: np.ndarray) -> np.ndarray:
+        return self._lu.solve(np.asarray(x, dtype=float), trans="T") @ self._Q
+
+    def apply_YR(self, x: np.ndarray) -> np.ndarray:
+        return self.apply_Y(x) @ self._R
+
+    def mean_epoch_time(self, x: np.ndarray) -> float:
+        return float(np.asarray(x, dtype=float) @ self.tau)
+
+
 def _recurrence(model: TransientModel, N: int):
-    """Yield ``(k, ops, x)`` per epoch, stepping by LU solves (§4.1/§4.2)."""
+    """Yield ``(k, level, x)`` per epoch, stepping by LU solves (§4.1/§4.2)."""
     n = model._validate_N(N)
     k_active = min(model.K, n)
-    top = model.level(k_active)
+    levels = {k: _SolveLevel(model.level(k)) for k in range(1, k_active + 1)}
+    top = levels[k_active]
     x = model.entrance_vector(k_active)
     for _ in range(n - k_active):
         yield k_active, top, x
         x = top.apply_YR(x)
     for k in range(k_active, 0, -1):
-        ops = model.level(k)
+        ops = levels[k]
         yield k, ops, x
         if k > 1:
             x = ops.apply_Y(x)

@@ -197,14 +197,19 @@ class TestLadderMechanics:
     @pytest.mark.parametrize("mode", ["exact", "dense"])
     def test_rung_model_accounts_for_shared_levels(self, central_h2_spec, mode):
         """A rung model's wrapped levels answer the cache and B_k surfaces
-        with the base model's operators."""
+        with the base model's operators; it adds only its own entrance
+        vectors and refill walk."""
         solver = ResilientSolver(central_h2_spec, K)
         rung = solver._rung_model(mode)
         rung.interdeparture_times(N)
         base = solver._base_model()
         assert rung.cache_info()["levels"] == base.cache_info()["levels"]
+        assert base.cache_info()["walks"] == []
+        (walk,) = rung.cache_info()["walks"]
+        assert walk["level"] == K and walk["steps"] == N - K
         entrance = sum(x.nbytes for x in rung._entrance.values())
-        assert rung.cached_bytes() == base.cached_bytes() + entrance > entrance
+        own = entrance + walk["bytes"]
+        assert rung.cached_bytes() == base.cached_bytes() + own > own
         for k in range(1, K + 1):
             assert np.array_equal(rung.level_B(k), base.level_B(k))
 

@@ -134,7 +134,7 @@ class TestEviction:
         fp = model_fingerprint(_h2_spec(), 5)
         model = cache.get_or_build(_h2_spec(), 5)
         before = cache.stats()["entries"][0]["bytes"]
-        model.interdeparture_times(30)  # builds LUs and propagators
+        model.interdeparture_times(30)  # builds LUs and the refill walk
         cache.settle(fp)
         after = cache.stats()["entries"][0]["bytes"]
         assert after > before

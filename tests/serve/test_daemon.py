@@ -405,6 +405,39 @@ class TestOverloadControl:
             drill=ServeFaultPlan(slow_seconds=0.4),
         )
 
+    def test_brownout_answers_exact_from_the_model_cache(self):
+        """Brownout's exact rung is a warm cache hit, bit for bit the
+        in-process solve; only a SolverError sends it on to amva."""
+        from repro.resilience.errors import SolverError
+        from repro.serve.daemon import _parse_query
+
+        cold = TransientModel(_spec(), 5).makespan(30)
+
+        async def scenario(daemon, post, get):
+            await post("/solve", _body())  # warm build
+            before = daemon.cache.stats()
+            query = _parse_query(_body())
+            code, doc = await daemon._solve_ladder(query, None,
+                                                   cause="brownout")
+            after = daemon.cache.stats()
+            assert code == 203 and doc["brownout"] is True
+            assert doc["method"] == "exact"
+            assert doc["value"] == encode_value(cold)
+            assert doc["summary"].startswith("exact solve ok")
+            assert after["hits"] == before["hits"] + 1
+            assert after["misses"] == before["misses"]
+
+            def failing(q):
+                raise SolverError("injected exact failure")
+
+            daemon.service.solve = failing
+            code, doc = await daemon._solve_ladder(query, None,
+                                                   cause="brownout")
+            assert code == 203 and doc["method"] == "amva"
+            assert doc["summary"].startswith("exact[solver-error]: ")
+
+        _drive(scenario)
+
     def test_cost_caps_downtier_makespan_and_shed_the_rest(self):
         async def scenario(daemon, post, get):
             code, doc = await post("/solve", _body())
